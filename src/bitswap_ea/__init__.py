@@ -30,6 +30,7 @@ from .engine import (
     EngineConfig,
     RunRecord,
     classify_partition,
+    decode_slot,
     default_generation_cap,
     fill_pool,
     init_population,

@@ -52,7 +52,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out:
         ensure_out_dir(args.out)
         h = _args_hash({"cmd": "run", "n": args.n, "mu": args.mu, "lambda": args.lam,
-                        "gamma": args.gamma, "seed": args.seed})
+                        "gamma": args.gamma, "seed": args.seed,
+                        "generation_cap": args.generation_cap})
         path = os.path.join(args.out, f"trace_n{args.n}_mu{args.mu}_lam{args.lam}_seed{args.seed}.csv")
         write_trace_csv(path, rec, h)
         print(f"trace written to {path}")

@@ -5,8 +5,21 @@ fair coin on fitness ties), pairs consecutive winners into ``lambda/2``
 recombination pairs, exchanges one uniformly chosen bit value between the two
 parents of each pair, and replaces the population elitist-first.
 
+Draw layout. A generation makes one generator call for its whole pool,
+``rng.integers(0, mu*mu*2*n, size=lambda)``, and ``decode_slot`` splits each
+slot's integer by mixed radix into the two competitors, the tie coin and the
+winner's swap position. A uniform integer over a product of ranges is a tuple
+of independent uniforms, so this is the same law as one draw per decision.
+``replace`` then takes a uniform ``k``-subset of ``m`` entrants with one
+``rng.permutation(m)``, and draws nothing when ``k`` is 0 or ``m``; at most
+one of its subsets is partial, so a generation makes at most two generator
+calls. This layout changed the seeded streams once: a seed now gives a
+different run than it did with per-decision draws, from the same law.
+
 Evaluation accounting is fixed at ``mu`` initial evaluations plus ``2*lambda``
-per generation (two competitors per pool slot).
+per generation (two competitors per pool slot). It is the algorithm's charge,
+not a count of ``evaluate`` calls: a swap of two equal bits returns its
+parents, whose values are already known.
 """
 
 from __future__ import annotations
@@ -29,6 +42,9 @@ INIT_BALANCED = "balanced_bins"
 
 TERMINATED_OPTIMUM = "optimum"
 TERMINATED_CAP = "generation_cap"
+
+# ``fill_pool`` draws from ``[0, mu*mu*2*n)``; that bound must fit in int64.
+INT64_MAX = 2**63 - 1
 
 
 def default_generation_cap(mu: int, n: int) -> int:
@@ -54,6 +70,11 @@ class EngineConfig:
             raise ValueError("balanced_bins init requires the plateau fitness")
         if self.generation_cap is not None and self.generation_cap < 0:
             raise ValueError("generation cap must be >= 0")
+        if self.mu * self.mu * 2 * self.spec.n > INT64_MAX:
+            raise ValueError(
+                f"mu*mu*2*n = {self.mu * self.mu * 2 * self.spec.n} does not fit "
+                "the int64 pool draw"
+            )
 
     @property
     def cap(self) -> int:
@@ -119,38 +140,73 @@ def classify_partition(pop: Population) -> ElitismPartition:
     )
 
 
-def tournament_select(pop: Population, rng: RandomSource) -> Individual:
-    """Two uniform draws with replacement; higher fitness wins, coin on ties."""
-    i, j = rng.integers(0, pop.mu, size=2)
-    a = pop.members[int(i)]
-    b = pop.members[int(j)]
+def decode_slot(code: int, mu: int, n: int) -> tuple[int, int, int, int]:
+    """Split one pool-slot draw from ``[0, mu*mu*2*n)`` into its parts.
+
+    Mixed radix, most significant first: competitors ``i`` and ``j`` (base
+    ``mu`` each), the tie coin (base 2) and the winner's swap position (base
+    ``n``). A uniform code gives four independent uniforms.
+    """
+    rest, pos = divmod(code, n)
+    rest, coin = divmod(rest, 2)
+    i, j = divmod(rest, mu)
+    return i, j, coin, pos
+
+
+def tournament_select(pop: Population, i: int, j: int, coin: int) -> Individual:
+    """Members ``i`` and ``j`` compete; higher fitness wins, ``coin`` breaks ties."""
+    a = pop.members[i]
+    b = pop.members[j]
     if a.fitness > b.fitness:
         return a
     if b.fitness > a.fitness:
         return b
-    return a if int(rng.integers(0, 2)) == 0 else b
+    return b if coin else a
 
 
 def fill_pool(
-    pop: Population, lam: int, rng: RandomSource
-) -> list[tuple[Individual, Individual]]:
-    """Run lambda tournaments and pair consecutive winners."""
-    winners = [tournament_select(pop, rng) for _ in range(lam)]
-    return [(winners[t], winners[t + 1]) for t in range(0, lam, 2)]
+    pop: Population, lam: int, n: int, rng: RandomSource
+) -> list[tuple[Individual, Individual, int, int]]:
+    """Run lambda tournaments from one draw and pair consecutive winners.
+
+    Each pair carries its two winners' swap positions.
+    """
+    mu = pop.mu
+    winners = []
+    positions = []
+    for code in rng.integers(0, mu * mu * 2 * n, size=lam).tolist():
+        i, j, coin, pos = decode_slot(code, mu, n)
+        winners.append(tournament_select(pop, i, j, coin))
+        positions.append(pos)
+    return [
+        (winners[t], winners[t + 1], positions[t], positions[t + 1])
+        for t in range(0, lam, 2)
+    ]
 
 
 def one_bit_swap(
-    pair: tuple[Individual, Individual], spec: FitnessSpec, rng: RandomSource
+    p1: Individual, p2: Individual, i: int, j: int, spec: FitnessSpec
 ) -> tuple[Individual, Individual]:
-    """Exchange the bit values at one uniform position of each parent."""
-    p1, p2 = pair
-    pos = rng.integers(0, spec.n, size=2)
-    i, j = int(pos[0]), int(pos[1])
+    """Exchange the bit value at position ``i`` of ``p1`` with position ``j`` of ``p2``.
+
+    Equal values leave both genomes as they are, so the parents are returned.
+    """
     v1 = p1.genome.bit(i)
     v2 = p2.genome.bit(j)
+    if v1 == v2:
+        return p1, p2
     g1 = p1.genome.with_bit(i, v2)
     g2 = p2.genome.with_bit(j, v1)
     return make_individual(spec, g1), make_individual(spec, g2)
+
+
+def _uniform_subset(items: list[Individual], k: int, rng: RandomSource) -> list[Individual]:
+    """A uniform ``k``-subset of ``items``; no draw when ``k`` is 0 or all of them."""
+    if k == 0:
+        return []
+    if k == len(items):
+        return list(items)
+    return [items[i] for i in rng.permutation(len(items))[:k].tolist()]
 
 
 def replace(
@@ -159,36 +215,25 @@ def replace(
     """Elitist replacement.
 
     All members at the current best fitness are retained. The remaining slots
-    are filled first by offspring at or above that fitness (best first), then
-    by the other offspring drawn uniformly without replacement. If retained
-    plus qualifying offspring overflow ``mu``, a uniform ``mu``-subset of that
-    combined elite survives. If the offspring run out before the population is
-    full, uniformly chosen non-elite survivors stay.
+    are filled first by offspring at or above that fitness, then by the other
+    offspring drawn uniformly without replacement. If retained plus qualifying
+    offspring overflow ``mu``, a uniform ``mu``-subset of that combined elite
+    survives. If the offspring run out before the population is full,
+    uniformly chosen non-elite survivors stay.
     """
     best = max(ind.fitness for ind in pop.members)
     retained = [ind for ind in pop.members if ind.fitness == best]
     survivors = [ind for ind in pop.members if ind.fitness < best]
-    new_elite = sorted(
-        (o for o in offspring if o.fitness >= best), key=lambda o: -o.fitness
-    )
+    new_elite = [o for o in offspring if o.fitness >= best]
     rest = [o for o in offspring if o.fitness < best]
     mu = pop.mu
 
     if len(retained) + len(new_elite) > mu:
-        combined = retained + new_elite
-        idx = rng.choice(len(combined), size=mu, replace=False)
-        members = [combined[int(i)] for i in idx]
+        members = _uniform_subset(retained + new_elite, mu, rng)
     else:
         members = retained + new_elite
-        slots = mu - len(members)
-        if slots > 0 and rest:
-            take = min(slots, len(rest))
-            idx = rng.choice(len(rest), size=take, replace=False)
-            members += [rest[int(i)] for i in idx]
-            slots -= take
-        if slots > 0:
-            idx = rng.choice(len(survivors), size=slots, replace=False)
-            members += [survivors[int(i)] for i in idx]
+        members += _uniform_subset(rest, min(mu - len(members), len(rest)), rng)
+        members += _uniform_subset(survivors, mu - len(members), rng)
     assert len(members) == mu
     return Population(tuple(members))
 
@@ -198,8 +243,8 @@ def one_generation(
 ) -> Population:
     """Pool, swap, replace: one full generation step."""
     offspring: list[Individual] = []
-    for pair in fill_pool(pop, lam, rng):
-        offspring.extend(one_bit_swap(pair, spec, rng))
+    for p1, p2, i, j in fill_pool(pop, lam, spec.n, rng):
+        offspring.extend(one_bit_swap(p1, p2, i, j, spec))
     return replace(pop, offspring, rng)
 
 

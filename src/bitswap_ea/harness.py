@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -36,10 +37,18 @@ _CONFIG_KEYS = {
 }
 
 
-def _as_tuple(value) -> tuple[int, ...]:
-    if isinstance(value, int):
-        return (value,)
-    return tuple(int(v) for v in value)
+def _as_tuple(value) -> tuple:
+    return tuple(value) if isinstance(value, (list, tuple)) else (value,)
+
+
+def _whole(key: str, value) -> int:
+    """``value`` as an int. Integral floats pass; bools, strings and
+    fractional floats are rejected rather than coerced."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,14 +66,27 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self) -> None:
-        if not self.n_values or not self.mu_values or not self.lam_values:
-            raise ValueError("all grids must be non-empty")
+        """Check every field's type and range, so a bad config fails here,
+        before any output directory or run exists."""
+        for key, attr in (("n", "n_values"), ("mu", "mu_values"), ("lambda", "lam_values")):
+            values = tuple(_whole(key, v) for v in getattr(self, attr))
+            if not values:
+                raise ValueError(f"the {key} grid must be non-empty")
+            object.__setattr__(self, attr, values)
+        for attr in ("seed_count", "base_seed", "generation_cap", "gamma"):
+            value = getattr(self, attr)
+            if value is not None or attr in ("seed_count", "base_seed"):
+                object.__setattr__(self, attr, _whole(attr, value))
         if self.seed_count < 1:
             raise ValueError(f"seed_count must be >= 1, got {self.seed_count}")
         if self.fitness not in KINDS:
             raise ValueError(f"unknown fitness kind {self.fitness!r}")
-        for n in self.n_values:
-            self.fitness_spec(n)  # raises on bad n/gamma combinations
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
+        for n, mu, lam in self.cells():
+            # raises on bad n/gamma combinations, mu < 2, odd or small lambda
+            # and a negative generation cap
+            EngineConfig(self.fitness_spec(n), mu, lam, self.generation_cap)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -49,6 +49,17 @@ def test_run_writes_trace(tmp_path, capsys):
     assert lines[1].startswith("generation,k,alpha")
 
 
+def test_run_trace_stamp_covers_the_generation_cap(tmp_path, capsys):
+    def stamp(name, *extra):
+        out = tmp_path / name
+        rc, _, _ = invoke(capsys, "run", "--n", "16", "--seed", "1",
+                          "--out", str(out), *extra)
+        assert rc == 0
+        return (out / "trace_n16_mu2_lam2_seed1.csv").read_text().splitlines()[0]
+
+    assert stamp("default") != stamp("cap3", "--generation-cap", "3")
+
+
 # --- sweep --------------------------------------------------------------------
 
 
@@ -82,6 +93,20 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     rc, _, err = invoke(capsys, "sweep", "--config", str(path))
     assert rc == 2
     assert "unknown config keys" in err
+
+
+@pytest.mark.parametrize("override,message", [
+    ({"seed_count": "2"}, "seed_count must be an integer, got '2'"),
+    ({"n": [16.7]}, "n must be an integer, got 16.7"),
+    ({"lambda": [3]}, "lambda must be even and >= 2, got 3"),
+])
+def test_sweep_rejects_bad_values_before_writing(tmp_path, capsys, override, message):
+    cfg_path = write_config(tmp_path, **override)
+    out_dir = tmp_path / "out"
+    rc, out, err = invoke(capsys, "sweep", "--config", str(cfg_path), "--out", str(out_dir))
+    assert rc == 2
+    assert err == f"error: {message}\n"
+    assert not out_dir.exists()
 
 
 def test_sweep_reports_malformed_json(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bitswap_ea.engine import (
     EngineConfig,
     classify_partition,
+    decode_slot,
     default_generation_cap,
     fill_pool,
     init_population,
@@ -24,18 +25,30 @@ from bitswap_ea.genome import Genome, Individual, Population, make_rng
 
 class ForcedRng:
     """Scripted stand-in for the generator: pops queued return values so a
-    single decision path can be pinned down."""
+    single decision path can be pinned down, and records every call. A draw
+    that was not queued raises ``IndexError``."""
 
-    def __init__(self, integers=(), choices=()):
+    def __init__(self, integers=(), permutations=()):
         self._integers = list(integers)
-        self._choices = list(choices)
+        self._permutations = list(permutations)
+        self.calls = []
 
     def integers(self, low, high=None, size=None):
+        self.calls.append(("integers", low, high, size))
         value = self._integers.pop(0)
         return np.asarray(value) if size is not None else value
 
-    def choice(self, a, size=None, replace=True):
-        return np.asarray(self._choices.pop(0))
+    def permutation(self, x):
+        self.calls.append(("permutation", x))
+        return np.asarray(self._permutations.pop(0))
+
+    def exhausted(self) -> bool:
+        return not self._integers and not self._permutations
+
+
+def slot(i: int, j: int, coin: int, pos: int, mu: int, n: int) -> int:
+    """The pool-slot draw that ``decode_slot`` splits into these parts."""
+    return ((i * mu + j) * 2 + coin) * n + pos
 
 
 def ind(text: str, spec: FitnessSpec | None = None) -> Individual:
@@ -50,91 +63,162 @@ def fake(fitness: int, n: int = 8, aux: int | None = None) -> Individual:
 
 def test_tournament_picks_higher_fitness():
     pop = Population((fake(5), fake(3)))
-    assert tournament_select(pop, ForcedRng(integers=[[0, 1]])).fitness == 5
-    assert tournament_select(pop, ForcedRng(integers=[[1, 0]])).fitness == 5
+    for coin in (0, 1):
+        assert tournament_select(pop, 0, 1, coin).fitness == 5
+        assert tournament_select(pop, 1, 0, coin).fitness == 5
 
 
 def test_tournament_tie_uses_fair_coin():
     a, b = fake(4, aux=1), fake(4, aux=2)
     pop = Population((a, b))
-    assert tournament_select(pop, ForcedRng(integers=[[0, 1], 0])) is a
-    assert tournament_select(pop, ForcedRng(integers=[[0, 1], 1])) is b
+    assert tournament_select(pop, 0, 1, 0) is a
+    assert tournament_select(pop, 0, 1, 1) is b
 
 
 def test_tournament_may_draw_a_member_against_itself():
     pop = Population((fake(5), fake(3)))
-    winner = tournament_select(pop, ForcedRng(integers=[[1, 1], 0]))
-    assert winner.fitness == 3
+    assert tournament_select(pop, 1, 1, 0).fitness == 3
 
 
 def test_fill_pool_pairs_consecutive_winners():
     pop = Population((fake(5), fake(3)))
-    # self-draws tie on fitness and each consumes a coin
-    draws = [[0, 1], [1, 0], [0, 0], 0, [1, 1], 0]
-    pairs = fill_pool(pop, 4, ForcedRng(integers=draws))
-    assert len(pairs) == 2
-    assert pairs[0][0].fitness == 5 and pairs[0][1].fitness == 5
-    assert pairs[1][0].fitness == 5 and pairs[1][1].fitness == 3
+    codes = [slot(0, 1, 1, 6, 2, 8), slot(1, 0, 0, 2, 2, 8),
+             slot(0, 0, 1, 7, 2, 8), slot(1, 1, 0, 0, 2, 8)]
+    rng = ForcedRng(integers=[codes])
+    pairs = fill_pool(pop, 4, 8, rng)
+    assert [(a.fitness, b.fitness, i, j) for a, b, i, j in pairs] == [
+        (5, 5, 6, 2), (5, 3, 7, 0)]
+    # the whole pool is one draw over mu*mu*2*n codes
+    assert rng.calls == [("integers", 0, 2 * 2 * 2 * 8, 4)]
+    assert rng.exhausted()
+
+
+def test_decode_slot_gives_every_tuple_exactly_once():
+    mu, n = 3, 4
+    decoded = [decode_slot(code, mu, n) for code in range(mu * mu * 2 * n)]
+    expected = [(i, j, coin, pos) for i in range(mu) for j in range(mu)
+                for coin in range(2) for pos in range(n)]
+    assert sorted(decoded) == expected
+    assert all(slot(*parts, mu, n) == code for code, parts in enumerate(decoded))
+
+
+def test_one_generation_makes_at_most_two_draws():
+    spec = FitnessSpec.onemax(8)
+    pop = init_population(EngineConfig(spec, mu=4, lam=6), make_rng(3))
+    calls = []
+
+    class Recording:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def integers(self, *args, **kwargs):
+            calls.append("integers")
+            return self._rng.integers(*args, **kwargs)
+
+        def permutation(self, x):
+            calls.append("permutation")
+            return self._rng.permutation(x)
+
+    rng = Recording(make_rng(5))
+    seen = set()
+    for _ in range(200):
+        calls.clear()
+        pop = one_generation(pop, spec, 6, rng)
+        # one pool draw, then at most one partial subset in replace
+        assert calls in (["integers"], ["integers", "permutation"])
+        seen.add(len(calls))
+    assert seen == {1, 2}
 
 
 def test_one_bit_swap_exchanges_bit_values():
     spec = FitnessSpec.onemax(2)
     p1, p2 = ind("10"), ind("01")
-    o1, o2 = one_bit_swap((p1, p2), spec, ForcedRng(integers=[[0, 0]]))
+    o1, o2 = one_bit_swap(p1, p2, 0, 0, spec)
     assert str(o1.genome) == "00"
     assert str(o2.genome) == "11"
     assert (o1.fitness, o2.fitness) == (0, 2)
+    # position i belongs to the first parent, j to the second
+    o1, o2 = one_bit_swap(ind("10"), ind("10"), 0, 1, spec)
+    assert (str(o1.genome), str(o2.genome)) == ("00", "11")
 
 
 def test_one_bit_swap_same_value_copies_parents():
     spec = FitnessSpec.onemax(3)
     p1, p2 = ind("110"), ind("011")
-    o1, o2 = one_bit_swap((p1, p2), spec, ForcedRng(integers=[[0, 2]]))
+    o1, o2 = one_bit_swap(p1, p2, 0, 2, spec)
     assert str(o1.genome) == "110"
     assert str(o2.genome) == "011"
 
 
 def test_replace_fills_with_best_offspring_then_rest():
     pop = Population((fake(5), fake(3), fake(3)))
-    offspring = [fake(6), fake(2)]
-    # one slot remains after the new elite; the only other offspring fills it
-    new = replace(pop, offspring, ForcedRng(choices=[[0]]))
-    assert sorted(i.fitness for i in new.members) == [2, 5, 6]
+    offspring = [fake(6), fake(2), fake(1)]
+    # one slot remains after the new elite; a uniform pick of the other
+    # offspring fills it
+    rng = ForcedRng(permutations=[[1, 0]])
+    new = replace(pop, offspring, rng)
+    assert sorted(i.fitness for i in new.members) == [1, 5, 6]
+    assert rng.calls == [("permutation", 2)]
 
 
 def test_replace_keeps_every_current_best():
     pop = Population((fake(7), fake(7), fake(1)))
     offspring = [fake(2), fake(2)]
-    new = replace(pop, offspring, ForcedRng(choices=[[0]]))
+    rng = ForcedRng(permutations=[[0, 1]])
+    new = replace(pop, offspring, rng)
     fits = sorted(i.fitness for i in new.members)
     assert fits[1:] == [7, 7]
     assert fits[0] == 2
+    assert rng.exhausted()
 
 
 def test_replace_without_enough_offspring_keeps_survivors():
     pop = Population((fake(5), fake(3), fake(2)))
-    new = replace(pop, [fake(1)], ForcedRng(choices=[[0], [0]]))
+    # the lone offspring takes its slot without a draw; one of the two
+    # non-elite survivors is drawn for the last slot
+    rng = ForcedRng(permutations=[[0, 1]])
+    new = replace(pop, [fake(1)], rng)
     assert sorted(i.fitness for i in new.members) == [1, 3, 5]
+    assert rng.calls == [("permutation", 2)]
 
 
 def test_replace_overflow_takes_uniform_subset_of_elite_pool():
     # all members already best; a qualifying offspring competes uniformly
     pop = Population((fake(4, aux=0), fake(4, aux=1)))
     offspring = [fake(4, aux=9), fake(0)]
-    new = replace(pop, offspring, ForcedRng(choices=[[0, 2]]))
+    rng = ForcedRng(permutations=[[0, 2, 1]])
+    new = replace(pop, offspring, rng)
     auxes = sorted(i.aux for i in new.members)
     assert auxes == [0, 9]
     assert len(new.members) == 2
+    assert rng.calls == [("permutation", 3)]
 
 
 def test_replace_changes_at_most_the_non_elite_slots():
     # non-overflow path: retained elites survive identically
     pop = Population((fake(9), fake(9), fake(2), fake(1)))
     offspring = [fake(9), fake(3)]
-    new = replace(pop, offspring, ForcedRng(choices=[[0]]))
+    new = replace(pop, offspring, ForcedRng())
     assert sum(1 for i in new.members if i.fitness == 9) == 3
     changed = 4 - sum(1 for i in pop.members if i in new.members)
     assert changed <= 4 - 2
+
+
+@pytest.mark.parametrize("members,offspring", [
+    # exactly mu elite: the whole combined list, nothing drawn
+    ((fake(4), fake(4), fake(1)), [fake(4), fake(0)]),
+    # every other offspring fits: whole list; no survivor slot left
+    ((fake(4), fake(2), fake(1)), [fake(3), fake(3)]),
+    # no offspring at all: both survivors stay, whole list
+    ((fake(4), fake(2), fake(1)), []),
+    # no slots left after the new elite: empty subsets
+    ((fake(4), fake(2), fake(1)), [fake(5), fake(4)]),
+])
+def test_replace_draws_nothing_for_empty_or_whole_subsets(members, offspring):
+    pop = Population(members)
+    new = replace(pop, offspring, ForcedRng())
+    assert len(new.members) == pop.mu
+    assert new.best_fitness() >= pop.best_fitness()
 
 
 def test_classify_partition_counts_three_levels():
@@ -178,6 +262,13 @@ def test_engine_config_validation():
         EngineConfig(spec, mu=2, lam=0)
     with pytest.raises(ValueError):
         EngineConfig(spec, mu=2, lam=2, init_mode="balanced_bins")
+
+
+def test_engine_config_rejects_pool_draw_beyond_int64():
+    # mu*mu*2*n = 3 * 2**61 fits; 4 * 2**61 = 2**63 does not
+    EngineConfig(FitnessSpec.onemax(3), mu=2**30, lam=2)
+    with pytest.raises(ValueError, match="int64"):
+        EngineConfig(FitnessSpec.onemax(4), mu=2**30, lam=2)
 
 
 def test_init_population_balanced_bins():

@@ -75,6 +75,42 @@ def test_config_validation():
         ExperimentConfig(n_values=(8,), mu_values=(2,), lam_values=(2,), gamma=3)
 
 
+GRID = {"n": [8], "mu": [2], "lambda": [2]}
+
+
+@pytest.mark.parametrize("override,message", [
+    ({"n": [8.5]}, "n must be an integer"),
+    ({"n": ["8"]}, "n must be an integer"),
+    ({"n": "8"}, "n must be an integer"),
+    ({"mu": [True]}, "mu must be an integer"),
+    ({"n": [0]}, "n must be >= 1"),
+    ({"mu": [1]}, "mu must be >= 2"),
+    ({"lambda": [3]}, "lambda must be even"),
+    ({"lambda": [0]}, "lambda must be even"),
+    ({"seed_count": "2"}, "seed_count must be an integer"),
+    ({"seed_count": 0}, "seed_count must be >= 1"),
+    ({"seed_count": None}, "seed_count must be an integer"),
+    ({"base_seed": 1.5}, "base_seed must be an integer"),
+    ({"generation_cap": -1}, "generation cap must be >= 0"),
+    ({"generation_cap": "10"}, "generation_cap must be an integer"),
+    ({"fitness": "plateau_royal_road", "gamma": "2"}, "gamma must be an integer"),
+    ({"out_dir": 5}, "out_dir must be a string"),
+])
+def test_config_checks_every_field_type_and_range(override, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict({**GRID, **override})
+
+
+def test_config_integral_floats_are_integers():
+    cfg = ExperimentConfig.from_dict({"n": [8.0], "mu": 2.0, "lambda": [2],
+                                      "seed_count": 3.0, "generation_cap": 10.0})
+    plain = ExperimentConfig.from_dict({"n": [8], "mu": 2, "lambda": [2],
+                                        "seed_count": 3, "generation_cap": 10})
+    assert cfg == plain
+    assert cfg.config_hash == plain.config_hash
+    assert type(cfg.n_values[0]) is int and type(cfg.seed_count) is int
+
+
 def test_config_from_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": [8, 16], "mu": [2], "lambda": [4], "base_seed": 3}))
