@@ -16,6 +16,14 @@ one of its subsets is partial, so a generation makes at most two generator
 calls. This layout changed the seeded streams once: a seed now gives a
 different run than it did with per-decision draws, from the same law.
 
+``one_generation_batch`` (and ``one_generation_blocks``, which yields the same
+rows block by block) steps one fixed population through many independent
+generations at once, for the Monte-Carlo oracles. Per block of at most
+``batch_rows(mu, lambda)`` trials it makes one ``rng.integers`` call for the
+block's pools and one ``rng.random`` call for its replacement keys, so its
+stream is its own; ``run`` uses the scalar step above, which stays the
+reference for the kernel.
+
 Evaluation accounting is fixed at ``mu`` initial evaluations plus ``2*lambda``
 per generation (two competitors per pool slot). It is the algorithm's charge,
 not a count of ``evaluate`` calls: a swap of two equal bits returns its
@@ -26,6 +34,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
+
+import numpy as np
 
 from .fitness import FitnessSpec, evaluate, is_optimum, make_individual
 from .genome import (
@@ -45,6 +56,11 @@ TERMINATED_CAP = "generation_cap"
 
 # ``fill_pool`` draws from ``[0, mu*mu*2*n)``; that bound must fit in int64.
 INT64_MAX = 2**63 - 1
+
+# The batched step takes at most this many entrants (trials times
+# mu + lambda) per pair of draws, so its working arrays grow neither with the
+# trial count nor with the population.
+BATCH_ENTRANTS = 8192
 
 
 def default_generation_cap(mu: int, n: int) -> int:
@@ -246,6 +262,125 @@ def one_generation(
     for p1, p2, i, j in fill_pool(pop, lam, spec.n, rng):
         offspring.extend(one_bit_swap(p1, p2, i, j, spec))
     return replace(pop, offspring, rng)
+
+
+@dataclass(frozen=True, slots=True)
+class _SwapTable:
+    """Per-member values of a fixed population, for the batched step.
+
+    ``flip_fitness[m, p]`` and ``flip_aux[m, p]`` are the values of member
+    ``m`` with bit ``p`` flipped, from ``evaluate``: a swap of two unequal
+    bits flips one bit of each parent.
+    """
+
+    fitness: np.ndarray
+    aux: np.ndarray
+    bits: np.ndarray
+    flip_fitness: np.ndarray
+    flip_aux: np.ndarray
+
+    @classmethod
+    def build(cls, pop: Population, spec: FitnessSpec) -> "_SwapTable":
+        bits = [ind.genome.bits() for ind in pop.members]
+        flips = [
+            [evaluate(spec, ind.genome.with_bit(p, 1 - v)) for p, v in enumerate(row)]
+            for ind, row in zip(pop.members, bits)
+        ]
+        flip = np.array(flips, dtype=np.int64)
+        return cls(
+            fitness=np.array([ind.fitness for ind in pop.members], dtype=np.int64),
+            aux=np.array([ind.aux for ind in pop.members], dtype=np.int64),
+            bits=np.array(bits, dtype=np.int8),
+            flip_fitness=flip[:, :, 0],
+            flip_aux=flip[:, :, 1],
+        )
+
+
+def _batch_offspring(
+    table: _SwapTable, codes: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offspring ``(fitness, aux)`` of each row of pool codes, in pool order.
+
+    Row by row this is ``fill_pool`` then ``one_bit_swap``: slot ``t`` is
+    paired with slot ``t ^ 1`` and its child is its winner with the winner's
+    swap position set to the partner's bit there.
+    """
+    i, j, coin, pos = decode_slot(codes, len(table.fitness), n)
+    fi, fj = table.fitness[i], table.fitness[j]
+    winner = np.where(fi > fj, i, np.where(fj > fi, j, np.where(coin == 1, j, i)))
+    mine = table.bits[winner, pos]
+    partner = mine.reshape(len(codes), -1, 2)[:, :, ::-1].reshape(mine.shape)
+    swapped = mine != partner
+    return (
+        np.where(swapped, table.flip_fitness[winner, pos], table.fitness[winner]),
+        np.where(swapped, table.flip_aux[winner, pos], table.aux[winner]),
+    )
+
+
+def _batch_replace(
+    table: _SwapTable, off_fitness: np.ndarray, off_aux: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``replace`` on each row: keep the ``mu`` smallest (class, key) entrants.
+
+    Class 0 holds the members at the best fitness and the offspring at or
+    above it, class 1 the other offspring, class 2 the other members. With
+    iid uniform keys (``keys[:, :mu]`` for the members) the kept set is
+    ``replace``'s: all of class 0 or a uniform ``mu``-subset of it, then
+    uniform subsets of class 1 and class 2.
+    """
+    mu = len(table.fitness)
+    rows = len(keys)
+    best = table.fitness.max()
+    member_class = np.broadcast_to(np.where(table.fitness == best, 0, 2), (rows, mu))
+    entrant_class = np.concatenate([member_class, off_fitness < best], axis=1)
+    keep = np.argpartition(entrant_class + keys, mu - 1, axis=1)[:, :mu]
+    fitness = np.concatenate([np.broadcast_to(table.fitness, (rows, mu)), off_fitness], axis=1)
+    aux = np.concatenate([np.broadcast_to(table.aux, (rows, mu)), off_aux], axis=1)
+    return np.take_along_axis(fitness, keep, 1), np.take_along_axis(aux, keep, 1)
+
+
+def batch_rows(mu: int, lam: int) -> int:
+    """Trials per block of ``one_generation_batch`` at this shape."""
+    return max(1, BATCH_ENTRANTS // (mu + lam))
+
+
+def one_generation_blocks(
+    pop: Population, spec: FitnessSpec, lam: int, trials: int, rng: RandomSource
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``one_generation_batch``'s rows, yielded block by block.
+
+    A caller that reduces each block as it comes holds memory flat in
+    ``trials``. Each block of at most ``batch_rows(mu, lam)`` trials makes two
+    generator calls: ``rng.integers(0, mu*mu*2*n, size=(rows, lam))`` for the
+    pools, decoded by ``decode_slot``, and ``rng.random((rows, mu+lam))`` for
+    the replacement keys. The arguments are checked at the first iteration.
+    """
+    if lam < 2 or lam % 2 != 0:
+        raise ValueError(f"lambda must be even and >= 2, got {lam}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    mu, n = pop.mu, spec.n
+    table = _SwapTable.build(pop, spec)
+    block = batch_rows(mu, lam)
+    for start in range(0, trials, block):
+        rows = min(block, trials - start)
+        codes = rng.integers(0, mu * mu * 2 * n, size=(rows, lam))
+        keys = rng.random((rows, mu + lam))
+        yield _batch_replace(table, *_batch_offspring(table, codes, n), keys)
+
+
+def one_generation_batch(
+    pop: Population, spec: FitnessSpec, lam: int, trials: int, rng: RandomSource
+) -> tuple[np.ndarray, np.ndarray]:
+    """``trials`` independent ``one_generation`` steps of one fixed population.
+
+    Returns the next populations' fitness and aux values as two
+    ``trials x mu`` integer arrays, row ``t`` from trial ``t``, drawn from the
+    same law as ``one_generation`` (the order within a row carries no
+    meaning). The draws are those of ``one_generation_blocks``.
+    """
+    fitness, aux = zip(*one_generation_blocks(pop, spec, lam, trials, rng))
+    return np.concatenate(fitness), np.concatenate(aux)
 
 
 def _balanced_bins_genome(spec: FitnessSpec, rng: RandomSource) -> Genome:

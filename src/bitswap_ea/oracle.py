@@ -4,6 +4,12 @@ the selection-inequality probe, and the plateau comparison experiment.
 The enumerator and the engine share one probability model: with-replacement
 tournament draws, fair-coin ties, independent uniform swap positions, and the
 elitist replace rule. Agreement tests are meaningless otherwise.
+
+The Monte-Carlo oracles step their fixed populations with the engine's batched
+kernel, ``one_generation_blocks``, which draws from the same law as the scalar
+``one_generation`` that runs use. The enumerator evaluates its own swap
+children and shares no table with the kernel, so it stays an independent
+check on it.
 """
 
 from __future__ import annotations
@@ -12,8 +18,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import classify_partition, one_generation
-from .fitness import FitnessSpec, make_individual
+import numpy as np
+
+from .engine import classify_partition, one_generation_blocks
+from .fitness import FitnessSpec, evaluate, make_individual
 from .genome import Genome, Population, RandomSource
 
 ENUM_MAX_MU = 6
@@ -121,8 +129,23 @@ def exact_generation_success(spec: PopulationSpec, lam: int) -> ExactGenerationR
                 win[i] += unit / 2
                 win[j] += unit / 2
 
+    # A swap sets position a of one parent to the other parent's bit at b.
+    # Each (member, position, bit value) child is evaluated once, and kept
+    # as its (above k, at k) indicators.
+    def indicators(g: Genome) -> tuple[bool, bool]:
+        f = evaluate(spec.fitness, g)[0]
+        return f > k, f == k
+
+    bits = [ind.genome.bits() for ind in members]
+    child = [
+        [[indicators(ind.genome.with_bit(a, v)) for v in (0, 1)] for a in range(n)]
+        for ind in members
+    ]
+
     # One pair's joint law of offspring one level above k (h) and at k (e).
     # Pairs are iid given the fixed parent population, so one law covers all.
+    # Every (a, b) of a parent pair (i, j) has the same weight, so the keys
+    # are tallied as integers and weighted once.
     pair_law: dict[tuple[int, int], Fraction] = {}
     pos_unit = Fraction(1, n * n)
     for i in range(mu):
@@ -131,16 +154,18 @@ def exact_generation_success(spec: PopulationSpec, lam: int) -> ExactGenerationR
         for j in range(mu):
             if win[j] == 0:
                 continue
-            w = win[i] * win[j] * pos_unit
-            g1, g2 = members[i].genome, members[j].genome
+            tally: dict[tuple[int, int], int] = {}
             for a in range(n):
-                v1 = g1.bit(a)
+                v1 = bits[i][a]
+                row = child[i][a]
                 for b in range(n):
-                    v2 = g2.bit(b)
-                    f1 = make_individual(spec.fitness, g1.with_bit(a, v2)).fitness
-                    f2 = make_individual(spec.fitness, g2.with_bit(b, v1)).fitness
-                    key = ((f1 > k) + (f2 > k), (f1 == k) + (f2 == k))
-                    pair_law[key] = pair_law.get(key, Fraction(0)) + w
+                    h1, e1 = row[bits[j][b]]
+                    h2, e2 = child[j][b][v1]
+                    key = (h1 + h2, e1 + e2)
+                    tally[key] = tally.get(key, 0) + 1
+            w = win[i] * win[j] * pos_unit
+            for key, count in tally.items():
+                pair_law[key] = pair_law.get(key, Fraction(0)) + w * count
 
     he_law: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
     for _ in range(lam // 2):
@@ -187,24 +212,23 @@ class MonteCarloResult:
 def monte_carlo_success(
     spec: PopulationSpec, lam: int, trials: int, rng: RandomSource
 ) -> MonteCarloResult:
-    """Empirical law of the same events, run through the actual engine step."""
+    """Empirical law of the same events, from ``trials`` independent
+    generations of the engine's law, stepped by ``one_generation_blocks``."""
     if trials < 1_000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
     pop = spec.to_population()
     k = max(ind.fitness for ind in pop.members)
     alpha = sum(1 for ind in pop.members if ind.fitness == k)
 
-    counts: dict[int, int] = {}
-    one = 0
-    any_ = 0
-    for _ in range(trials):
-        nxt = one_generation(pop, spec.fitness, lam, rng)
-        gained = new_elite_count(k, alpha, nxt)
-        counts[gained] = counts.get(gained, 0) + 1
-        if gained == 1:
-            one += 1
-        if gained >= 1:
-            any_ += 1
+    counts = np.zeros(pop.mu + 1, dtype=np.int64)
+    for fitness, _ in one_generation_blocks(pop, spec.fitness, lam, trials, rng):
+        # new_elite_count, row by row
+        best = fitness.max(axis=1)
+        at_best = (fitness == best[:, None]).sum(axis=1)
+        gained = np.where(best == k, at_best - alpha, at_best)
+        counts += np.bincount(gained, minlength=pop.mu + 1)
+    one = int(counts[1])
+    any_ = trials - int(counts[0])
 
     def se(hits: int) -> float:
         p = hits / trials
@@ -216,7 +240,7 @@ def monte_carlo_success(
         se_exactly_one=se(one),
         p_at_least_one_new_elite=any_ / trials,
         se_at_least_one=se(any_),
-        elite_count_frequencies={c: h / trials for c, h in sorted(counts.items())},
+        elite_count_frequencies={c: int(h) / trials for c, h in enumerate(counts) if h},
     )
 
 
@@ -317,14 +341,6 @@ def _plateau_genomes(n: int, gamma: int, mu: int) -> list[Genome]:
     return genomes
 
 
-def _count_front(pop: Population, k: int, aux: int) -> int:
-    return sum(
-        1
-        for ind in pop.members
-        if ind.fitness > k or (ind.fitness == k and ind.aux >= aux)
-    )
-
-
 def plateau_comparison(
     n: int, gamma: int, mu: int, lam: int, trials: int, rng: RandomSource
 ) -> PlateauComparison:
@@ -336,14 +352,14 @@ def plateau_comparison(
     only the coarse fitness, so front offspring must survive an undirected
     replacement, which is the mechanism the comparison exposes.
     """
-    if n % gamma != 0:
-        raise ValueError(f"n={n} must be a multiple of gamma={gamma}")
+    # FitnessSpec checks n, the bin width and their fit before any genome.
+    specs = (FitnessSpec.onemax(n), FitnessSpec.plateau(n, gamma))
     if mu < 2:
         raise ValueError(f"mu must be >= 2, got {mu}")
     genomes = _plateau_genomes(n, gamma, mu)
 
     results = []
-    for spec in (FitnessSpec.onemax(n), FitnessSpec.plateau(n, gamma)):
+    for spec in specs:
         pop = Population(tuple(make_individual(spec, g) for g in genomes))
         part = classify_partition(pop)
         before = sum(
@@ -352,10 +368,9 @@ def plateau_comparison(
             if ind.fitness == part.k and ind.aux == part.best_aux
         )
         hits = 0
-        for _ in range(trials):
-            nxt = one_generation(pop, spec, lam, rng)
-            if _count_front(nxt, part.k, part.best_aux) >= before + 1:
-                hits += 1
+        for fitness, aux in one_generation_blocks(pop, spec, lam, trials, rng):
+            front = (fitness > part.k) | ((fitness == part.k) & (aux >= part.best_aux))
+            hits += int((front.sum(axis=1) > before).sum())
         p = hits / trials
         results.append((p, math.sqrt(p * (1 - p) / trials)))
 

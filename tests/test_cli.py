@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -183,6 +184,28 @@ def test_compare_plateau_rejects_bad_geometry(capsys):
                         "--trials", "2000")
     assert rc == 2
     assert "multiple of" in err
+
+
+@pytest.mark.parametrize("gamma", ["0", "-3"])
+def test_compare_plateau_rejects_bad_bin_width(capsys, gamma):
+    rc, out, err = invoke(capsys, "compare-plateau", "--gamma", gamma, "--trials", "2000")
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: plateau bin width must be >= 1, got {gamma}\n"
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--trials", "0", "trials must be >= 1, got 0"),
+    ("--trials", "-5", "trials must be >= 1, got -5"),
+    ("--lambda", "3", "lambda must be even and >= 2, got 3"),
+])
+def test_compare_plateau_rejects_bad_pool_or_trial_count(capsys, flag, value, message):
+    args = {"--n": "12", "--gamma": "3", "--mu": "4", "--lambda": "4", "--trials": "2000"}
+    args[flag] = value
+    rc, out, err = invoke(capsys, "compare-plateau", *itertools.chain(*args.items()))
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 # --- fit and plot data ------------------------------------------------------

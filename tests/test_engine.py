@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitswap_ea.engine import (
+    BATCH_ENTRANTS,
     EngineConfig,
+    _batch_offspring,
+    _batch_replace,
+    _SwapTable,
+    batch_rows,
     classify_partition,
     decode_slot,
     default_generation_cap,
@@ -14,6 +20,7 @@ from bitswap_ea.engine import (
     init_population,
     one_bit_swap,
     one_generation,
+    one_generation_batch,
     replace,
     run,
     run_rls_baseline,
@@ -351,6 +358,99 @@ def test_one_generation_never_loses_the_best():
         new = one_generation(pop, spec, 4, rng)
         assert new.best_fitness() >= pop.best_fitness()
         pop = new
+
+
+# --- batched one-generation kernel -----------------------------------------
+
+
+def _tied_population(spec: FitnessSpec, texts: list[str]) -> Population:
+    return Population(tuple(ind(t, spec) for t in texts))
+
+
+@pytest.mark.parametrize("spec,texts", [
+    # fitness ties (coin decides) and a strictly worse member
+    (FitnessSpec.onemax(4), ["1100", "0110", "1000"]),
+    # plateau: equal bin counts with different aux, swaps that cross a bin
+    (FitnessSpec.plateau(6, 3), ["111110", "111011", "011100"]),
+])
+@pytest.mark.parametrize("lam", [2, 6])
+def test_batch_offspring_match_scalar_slots(spec, texts, lam):
+    pop = _tied_population(spec, texts)
+    mu, n = pop.mu, spec.n
+    if lam == 2:  # every pair of slot codes
+        codes = np.array(list(itertools.product(range(mu * mu * 2 * n), repeat=2)))
+    else:
+        codes = make_rng(4).integers(0, mu * mu * 2 * n, size=(2000, lam))
+    decoded = decode_slot(codes, mu, n)
+    fitness, aux = _batch_offspring(_SwapTable.build(pop, spec), codes, n)
+    for r, row in enumerate(codes.tolist()):
+        parts = [decode_slot(code, mu, n) for code in row]
+        assert [tuple(int(d[r, t]) for d in decoded) for t in range(lam)] == parts
+        winners = [tournament_select(pop, i, j, coin) for i, j, coin, _ in parts]
+        expected = []
+        for t in range(0, lam, 2):
+            expected.extend(one_bit_swap(winners[t], winners[t + 1],
+                                         parts[t][3], parts[t + 1][3], spec))
+        assert fitness[r].tolist() == [o.fitness for o in expected]
+        assert aux[r].tolist() == [o.aux for o in expected]
+
+
+def test_batch_replace_follows_the_elitist_rule():
+    # aux values name each entrant, so every kept one can be classed
+    mu, lam, rows = 4, 6, 3000
+    rng = make_rng(8)
+    member_fitness = np.array([5, 5, 3, 2])
+    table = _SwapTable(member_fitness, np.arange(mu), None, None, None)
+    off_fitness = rng.integers(3, 7, size=(rows, lam))
+    off_aux = np.broadcast_to(np.arange(mu, mu + lam), (rows, lam))
+    fitness, aux = _batch_replace(table, off_fitness, off_aux, rng.random((rows, mu + lam)))
+    assert fitness.shape == aux.shape == (rows, mu)
+    for r in range(rows):
+        entrant = list(zip(member_fitness.tolist(), range(mu))) + list(
+            zip(off_fitness[r].tolist(), range(mu, mu + lam)))
+        classes = [0 if f >= 5 else 1 if e >= mu else 2 for f, e in entrant]
+        kept = aux[r].tolist()
+        assert len(set(kept)) == mu
+        assert fitness[r].tolist() == [entrant[e][0] for e in kept]
+        left = mu
+        for c in (0, 1, 2):
+            want = min(left, classes.count(c))
+            assert sum(classes[e] == c for e in kept) == want
+            left -= want
+
+
+def test_batch_blocks_return_every_trial_and_draw_as_one_call():
+    spec = FitnessSpec.onemax(6)
+    pop = _tied_population(spec, ["110100", "011100", "100000"])
+    block = batch_rows(3, 4)
+    fitness, aux = one_generation_batch(pop, spec, 4, block + 1, make_rng(6))
+    assert fitness.shape == aux.shape == (block + 1, 3)
+    assert (fitness.max(axis=1) >= 3).all()
+    # a block boundary neither drops nor redraws trials
+    rng = make_rng(6)
+    head = one_generation_batch(pop, spec, 4, block, rng)
+    tail = one_generation_batch(pop, spec, 4, 1, rng)
+    assert np.array_equal(fitness, np.concatenate([head[0], tail[0]]))
+    assert np.array_equal(aux, np.concatenate([head[1], tail[1]]))
+
+
+def test_batch_blocks_bound_the_entrants_per_block():
+    assert batch_rows(4, 4) * 8 <= BATCH_ENTRANTS < (batch_rows(4, 4) + 1) * 8
+    # a population wider than the budget still steps one trial per block
+    assert batch_rows(BATCH_ENTRANTS, 2) == 1
+
+
+@pytest.mark.parametrize("lam,trials,message", [
+    (3, 10, "lambda must be even and >= 2, got 3"),
+    (0, 10, "lambda must be even and >= 2, got 0"),
+    (2, 0, "trials must be >= 1, got 0"),
+    (2, -5, "trials must be >= 1, got -5"),
+])
+def test_batch_rejects_bad_pool_or_trial_count(lam, trials, message):
+    spec = FitnessSpec.onemax(4)
+    pop = _tied_population(spec, ["1100", "0110"])
+    with pytest.raises(ValueError, match=message):
+        one_generation_batch(pop, spec, lam, trials, make_rng(1))
 
 
 def test_rls_baseline_accounting_and_trace():

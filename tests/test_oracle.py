@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bitswap_ea.engine import one_generation
 from bitswap_ea.fitness import FitnessSpec, make_individual
 from bitswap_ea.genome import Genome, Population, make_rng
 from bitswap_ea.oracle import (
@@ -16,6 +17,7 @@ from bitswap_ea.oracle import (
     probe_region,
     representative_probe,
 )
+from bitswap_ea.verify import SMALL_FIXTURES
 
 
 def pop_from(texts, spec):
@@ -150,6 +152,33 @@ def test_engine_matches_enumeration(spec, lam, seed):
     )
 
 
+@pytest.mark.parametrize("index,label,spec,lam",
+                         [(i, *fixture) for i, fixture in enumerate(SMALL_FIXTURES)],
+                         ids=[label for label, _, _ in SMALL_FIXTURES])
+def test_scalar_engine_matches_enumeration(index, label, spec, lam):
+    # The batched kernel carries the Monte-Carlo oracle; this keeps the
+    # scalar step that runs use checked against the exact law as well.
+    exact = exact_generation_success(spec, lam)
+    pop = spec.to_population()
+    k = pop.best_fitness()
+    alpha = sum(1 for m in pop.members if m.fitness == k)
+    rng = make_rng(31 + index)
+    trials = 20_000
+    gained = [new_elite_count(k, alpha, one_generation(pop, spec.fitness, lam, rng))
+              for _ in range(trials)]
+    for want, hits in ((exact.p_exactly_one_new_elite, gained.count(1)),
+                       (exact.p_at_least_one_new_elite, trials - gained.count(0))):
+        p = hits / trials
+        se = math.sqrt(p * (1 - p) / trials)
+        assert abs(p - float(want)) <= 4 * se + 1e-9, (label, p, float(want), se)
+
+
+def test_monte_carlo_rejects_odd_pool():
+    spec = PopulationSpec.from_strings(["10", "01"], FitnessSpec.onemax(2))
+    with pytest.raises(ValueError, match="lambda must be even and >= 2, got 3"):
+        monte_carlo_success(spec, 3, 1000, make_rng(1))
+
+
 def test_monte_carlo_reports_binomial_se():
     spec = PopulationSpec.from_strings(["10", "01"], FitnessSpec.onemax(2))
     mc = monte_carlo_success(spec, 2, 2_000, make_rng(3))
@@ -215,6 +244,16 @@ def test_plateau_comparison_validation():
         plateau_comparison(12, 3, 1, 4, 1000, make_rng(1))
     with pytest.raises(ValueError):
         plateau_comparison(6, 6, 4, 4, 1000, make_rng(1))
+
+
+@pytest.mark.parametrize("lam,trials,message", [
+    (4, 0, "trials must be >= 1, got 0"),
+    (4, -5, "trials must be >= 1, got -5"),
+    (3, 1000, "lambda must be even and >= 2, got 3"),
+])
+def test_plateau_comparison_rejects_bad_pool_or_trial_count(lam, trials, message):
+    with pytest.raises(ValueError, match=message):
+        plateau_comparison(12, 3, 4, lam, trials, make_rng(1))
 
 
 def test_front_gain_is_harder_on_the_plateau():
