@@ -18,6 +18,7 @@ from .harness import (
     ExperimentConfig,
     ensure_out_dir,
     fit_from_summary,
+    read_summary_csv,
     run_sweep,
     summarize,
     write_plot_data,
@@ -142,27 +143,18 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
+    config_hash, rows = read_summary_csv(args.summary)
     ensure_out_dir(args.out)
     series: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
-    hash_line = "unknown"
-    with open(args.summary, newline="", encoding="utf-8") as fh:
-        first = fh.readline()
-        if first.startswith("# config_hash="):
-            hash_line = first.strip().split("=", 1)[1]
-        else:
-            fh.seek(0)
-        for row in csv.DictReader(fh):
-            key = (int(row["mu"]), int(row["lambda"]))
-            series.setdefault(key, []).append(
-                (int(row["n"]), float(row["mean_generations"]),
-                 float(row["mean_evaluations"]))
-            )
+    for n, mu, lam, gens, evals in rows:
+        series.setdefault((mu, lam), []).append((n, gens, evals))
     written = []
-    for (mu, lam), rows in series.items():
-        rows.sort()
+    for (mu, lam), points in series.items():
+        points.sort()
         for stem, col in (("generations", 1), ("evaluations", 2)):
             path = os.path.join(args.out, f"{stem}_mu{mu}_lam{lam}.dat")
-            write_plot_data(path, [r[0] for r in rows], [r[col] for r in rows], hash_line)
+            write_plot_data(path, [p[0] for p in points], [p[col] for p in points],
+                            config_hash)
             written.append(path)
     print(f"{len(written)} series files -> {args.out}")
     return 0

@@ -21,8 +21,17 @@ rows block by block) steps one fixed population through many independent
 generations at once, for the Monte-Carlo oracles. Per block of at most
 ``batch_rows(mu, lambda)`` trials it makes one ``rng.integers`` call for the
 block's pools and one ``rng.random`` call for its replacement keys, so its
-stream is its own; ``run`` uses the scalar step above, which stays the
-reference for the kernel.
+stream is its own; the scalar step above stays the reference for the kernel.
+
+``run`` holds its population as three lists of ints (words, fitness and aux
+values) after ``init_population`` and builds no ``Individual`` in its loop.
+Each decision is one private rule that it shares with the scalar step:
+``_pool`` (draw, ``decode_slot`` and ``_winner``), ``_swap``,
+``fitness.evaluate_word``, ``_kept`` (the replacement order) and
+``_partition``. It makes the same generator calls in the same order, so a
+seed gives the run that repeated ``one_generation`` calls would give. One
+scan for the best fitness per generation serves the stop test, which is
+``best == spec.max_fitness``, and the replacement.
 
 Evaluation accounting is fixed at ``mu`` initial evaluations plus ``2*lambda``
 per generation (two competitors per pool slot). It is the algorithm's charge,
@@ -38,7 +47,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .fitness import FitnessSpec, evaluate, is_optimum, make_individual
+from .fitness import FitnessSpec, evaluate, evaluate_word, make_individual
 from .genome import (
     Genome,
     Individual,
@@ -133,27 +142,27 @@ class RunRecord:
     trace: list[ElitismPartition] = field(default_factory=list)
 
 
-def classify_partition(pop: Population) -> ElitismPartition:
-    k = max(ind.fitness for ind in pop.members)
-    alpha = sum(1 for ind in pop.members if ind.fitness == k)
-    lower = [ind.fitness for ind in pop.members if ind.fitness < k]
-    if lower:
-        next_level = max(lower)
-        beta1 = sum(1 for f in lower if f == next_level)
-    else:
-        beta1 = 0
-    best_aux = max(ind.aux for ind in pop.members if ind.fitness == k)
-    alpha_star = sum(
-        1 for ind in pop.members if ind.fitness == k and ind.aux == best_aux
-    )
+def _partition(fitness: list[int], aux: list[int]) -> ElitismPartition:
+    """``classify_partition`` over a population's fitness and aux lists."""
+    k = max(fitness)
+    top_aux = [a for f, a in zip(fitness, aux) if f == k]
+    lower = [f for f in fitness if f < k]
+    alpha = len(top_aux)
+    beta1 = lower.count(max(lower)) if lower else 0
+    best_aux = max(top_aux)
     return ElitismPartition(
         alpha=alpha,
         beta1=beta1,
-        beta_minus1=pop.mu - alpha - beta1,
-        alpha_star=alpha_star,
+        beta_minus1=len(fitness) - alpha - beta1,
+        alpha_star=top_aux.count(best_aux),
         k=k,
         best_aux=best_aux,
     )
+
+
+def classify_partition(pop: Population) -> ElitismPartition:
+    members = pop.members
+    return _partition([ind.fitness for ind in members], [ind.aux for ind in members])
 
 
 def decode_slot(code: int, mu: int, n: int) -> tuple[int, int, int, int]:
@@ -169,15 +178,29 @@ def decode_slot(code: int, mu: int, n: int) -> tuple[int, int, int, int]:
     return i, j, coin, pos
 
 
+def _winner(fitness: list[int], i: int, j: int, coin: int) -> int:
+    """Members ``i`` and ``j`` compete; higher fitness wins, ``coin`` breaks ties."""
+    fi, fj = fitness[i], fitness[j]
+    if fi > fj:
+        return i
+    if fj > fi:
+        return j
+    return j if coin else i
+
+
+def _pool(fitness: list[int], n: int, lam: int, rng: RandomSource) -> list[tuple[int, int]]:
+    """Draw the pool and run its tournaments: (winner index, swap position) per slot."""
+    mu = len(fitness)
+    slots = []
+    for code in rng.integers(0, mu * mu * 2 * n, size=lam).tolist():
+        i, j, coin, pos = decode_slot(code, mu, n)
+        slots.append((_winner(fitness, i, j, coin), pos))
+    return slots
+
+
 def tournament_select(pop: Population, i: int, j: int, coin: int) -> Individual:
     """Members ``i`` and ``j`` compete; higher fitness wins, ``coin`` breaks ties."""
-    a = pop.members[i]
-    b = pop.members[j]
-    if a.fitness > b.fitness:
-        return a
-    if b.fitness > a.fitness:
-        return b
-    return b if coin else a
+    return pop.members[_winner([ind.fitness for ind in pop.members], i, j, coin)]
 
 
 def fill_pool(
@@ -187,17 +210,24 @@ def fill_pool(
 
     Each pair carries its two winners' swap positions.
     """
-    mu = pop.mu
-    winners = []
-    positions = []
-    for code in rng.integers(0, mu * mu * 2 * n, size=lam).tolist():
-        i, j, coin, pos = decode_slot(code, mu, n)
-        winners.append(tournament_select(pop, i, j, coin))
-        positions.append(pos)
+    members = pop.members
+    slots = _pool([ind.fitness for ind in members], n, lam, rng)
     return [
-        (winners[t], winners[t + 1], positions[t], positions[t + 1])
-        for t in range(0, lam, 2)
+        (members[a], members[b], i, j)
+        for (a, i), (b, j) in zip(slots[::2], slots[1::2])
     ]
+
+
+def _swap(w1: int, w2: int, i: int, j: int, n: int) -> tuple[int, int] | None:
+    """Words after exchanging bit ``i`` of ``w1`` with bit ``j`` of ``w2``.
+
+    ``None`` when the two bits are equal, which leaves both words as they are.
+    Unequal bits flip one bit of each word.
+    """
+    s1, s2 = n - 1 - i, n - 1 - j
+    if (w1 >> s1) & 1 == (w2 >> s2) & 1:
+        return None
+    return w1 ^ (1 << s1), w2 ^ (1 << s2)
 
 
 def one_bit_swap(
@@ -207,22 +237,46 @@ def one_bit_swap(
 
     Equal values leave both genomes as they are, so the parents are returned.
     """
-    v1 = p1.genome.bit(i)
-    v2 = p2.genome.bit(j)
-    if v1 == v2:
+    n = spec.n
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError(f"swap positions {i}, {j} out of range for n={n}")
+    words = _swap(p1.genome.word, p2.genome.word, i, j, n)
+    if words is None:
         return p1, p2
-    g1 = p1.genome.with_bit(i, v2)
-    g2 = p2.genome.with_bit(j, v1)
-    return make_individual(spec, g1), make_individual(spec, g2)
+    return (make_individual(spec, Genome(n, words[0])),
+            make_individual(spec, Genome(n, words[1])))
 
 
-def _uniform_subset(items: list[Individual], k: int, rng: RandomSource) -> list[Individual]:
+def _uniform_subset(items: list[int], k: int, rng: RandomSource) -> list[int]:
     """A uniform ``k``-subset of ``items``; no draw when ``k`` is 0 or all of them."""
     if k == 0:
         return []
     if k == len(items):
-        return list(items)
+        return items
     return [items[i] for i in rng.permutation(len(items))[:k].tolist()]
+
+
+def _kept(
+    fitness: list[int], best: int, off_fitness: list[int], rng: RandomSource
+) -> list[int]:
+    """``replace``'s rule: the kept entrants, in order, as indices into the
+    members followed by the offspring (offspring ``t`` is ``mu + t``).
+
+    ``best`` is the members' best fitness. The order is retained members, new
+    elite, the subset of the other offspring, then the subset of the non-elite
+    members; on overflow it is the subset of retained plus new elite.
+    """
+    mu = len(fitness)
+    retained = [e for e, f in enumerate(fitness) if f == best]
+    new_elite = [mu + t for t, f in enumerate(off_fitness) if f >= best]
+    if len(retained) + len(new_elite) > mu:
+        return _uniform_subset(retained + new_elite, mu, rng)
+    rest = [mu + t for t, f in enumerate(off_fitness) if f < best]
+    survivors = [e for e, f in enumerate(fitness) if f < best]
+    kept = retained + new_elite
+    kept += _uniform_subset(rest, min(mu - len(kept), len(rest)), rng)
+    kept += _uniform_subset(survivors, mu - len(kept), rng)
+    return kept
 
 
 def replace(
@@ -237,21 +291,11 @@ def replace(
     survives. If the offspring run out before the population is full,
     uniformly chosen non-elite survivors stay.
     """
-    best = max(ind.fitness for ind in pop.members)
-    retained = [ind for ind in pop.members if ind.fitness == best]
-    survivors = [ind for ind in pop.members if ind.fitness < best]
-    new_elite = [o for o in offspring if o.fitness >= best]
-    rest = [o for o in offspring if o.fitness < best]
-    mu = pop.mu
-
-    if len(retained) + len(new_elite) > mu:
-        members = _uniform_subset(retained + new_elite, mu, rng)
-    else:
-        members = retained + new_elite
-        members += _uniform_subset(rest, min(mu - len(members), len(rest)), rng)
-        members += _uniform_subset(survivors, mu - len(members), rng)
-    assert len(members) == mu
-    return Population(tuple(members))
+    fitness = [ind.fitness for ind in pop.members]
+    kept = _kept(fitness, max(fitness), [o.fitness for o in offspring], rng)
+    entrants = pop.members + tuple(offspring)
+    assert len(kept) == pop.mu
+    return Population(tuple(entrants[e] for e in kept))
 
 
 def one_generation(
@@ -408,36 +452,64 @@ def init_population(config: EngineConfig, rng: RandomSource) -> Population:
 
 
 def run(config: EngineConfig, seed: int, record_trace: bool = True) -> RunRecord:
-    """Run to the optimum or the generation cap; trace includes the initial state."""
+    """Run to the optimum or the generation cap; trace includes the initial state.
+
+    After ``init_population`` the population is three lists, of words, fitness
+    and aux values, stepped by the rules and draws of ``one_generation``: a
+    seed gives the run that repeated ``one_generation`` calls would give.
+    """
     rng = make_rng(seed)
-    pop = init_population(config, rng)
-    evaluations = config.mu
-    generations = 0
-    cap = config.cap
-    trace = [classify_partition(pop)] if record_trace else []
     spec = config.spec
+    n, lam, cap, top = spec.n, config.lam, config.cap, spec.max_fitness
+    members = init_population(config, rng).members
+    words = [ind.genome.word for ind in members]
+    fitness = [ind.fitness for ind in members]
+    aux = [ind.aux for ind in members]
+    trace = []
+    generations = 0
 
     while True:
-        best = max(pop.members, key=lambda ind: ind.fitness)
-        if is_optimum(spec, best.genome):
+        if record_trace:
+            trace.append(_partition(fitness, aux))
+            best = trace[-1].k
+        else:
+            best = max(fitness)
+        if best == top:
             terminated = TERMINATED_OPTIMUM
             break
         if generations >= cap:
             terminated = TERMINATED_CAP
             break
-        pop = one_generation(pop, spec, config.lam, rng)
+        off_words, off_fitness, off_aux = [], [], []
+        slots = _pool(fitness, n, lam, rng)
+        for (a, i), (b, j) in zip(slots[::2], slots[1::2]):
+            pair = _swap(words[a], words[b], i, j, n)
+            if pair is None:
+                off_words += (words[a], words[b])
+                off_fitness += (fitness[a], fitness[b])
+                off_aux += (aux[a], aux[b])
+                continue
+            for word in pair:
+                f, x = evaluate_word(spec, word)
+                off_words.append(word)
+                off_fitness.append(f)
+                off_aux.append(x)
+        kept = _kept(fitness, best, off_fitness, rng)
+        words += off_words
+        fitness += off_fitness
+        aux += off_aux
+        words = [words[e] for e in kept]
+        fitness = [fitness[e] for e in kept]
+        aux = [aux[e] for e in kept]
         generations += 1
-        evaluations += 2 * config.lam
-        if record_trace:
-            trace.append(classify_partition(pop))
 
     return RunRecord(
         seed=seed,
         spec=spec,
         mu=config.mu,
-        lam=config.lam,
+        lam=lam,
         generations=generations,
-        evaluations=evaluations,
+        evaluations=config.mu + 2 * lam * generations,
         terminated=terminated,
         trace=trace,
     )

@@ -63,13 +63,16 @@ def evaluate(spec: FitnessSpec, genome: Genome) -> tuple[int, int]:
     """Return (fitness, aux). Aux is the ones count for both kinds."""
     if genome.n != spec.n:
         raise ValueError(f"genome length {genome.n} does not match spec n={spec.n}")
-    ones = genome.word.bit_count()
+    return evaluate_word(spec, genome.word)
+
+
+def evaluate_word(spec: FitnessSpec, word: int) -> tuple[int, int]:
+    """``evaluate`` on a packed word of ``spec.n`` bits, without the length check."""
+    ones = word.bit_count()
     if spec.kind == ONEMAX:
         return ones, ones
-    assert spec.gamma is not None
     gamma = spec.gamma
     full = (1 << gamma) - 1
-    word = genome.word
     fitness = 0
     for b in range(spec.bin_count):
         if (word >> (b * gamma)) & full == full:

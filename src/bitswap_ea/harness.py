@@ -156,35 +156,33 @@ class ExperimentConfig:
         return mix_seed(self.base_seed, n, mu, lam, seed_index)
 
 
-def _run_cell(args: tuple) -> list[RunRecord]:
-    (n, mu, lam, fitness, gamma, cap, base_seed, seed_count, record_trace) = args
-    spec = (
-        FitnessSpec.onemax(n)
-        if fitness == "onemax"
-        else FitnessSpec.plateau(n, gamma if gamma is not None else 1)
-    )
-    cfg = EngineConfig(spec=spec, mu=mu, lam=lam, generation_cap=cap)
-    return [
-        run(cfg, mix_seed(base_seed, n, mu, lam, i), record_trace=record_trace)
-        for i in range(seed_count)
-    ]
+def _expected_cost(engine: EngineConfig) -> float:
+    """The paper's order of a run's cost, mu * n * ln(n)."""
+    return engine.mu * engine.spec.n * math.log(engine.spec.n)
 
 
 def run_sweep(
     config: ExperimentConfig, workers: int = 1, record_trace: bool = False
 ) -> list[RunRecord]:
-    """One run per (n, mu, lambda, seed) cell, in grid order."""
-    jobs = [
-        (n, mu, lam, config.fitness, config.gamma, config.generation_cap,
-         config.base_seed, config.seed_count, record_trace)
-        for (n, mu, lam) in config.cells()
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(pool.map(_run_cell, jobs))
-    else:
-        per_cell = [_run_cell(j) for j in jobs]
-    return [rec for cell in per_cell for rec in cell]
+    """One run per (n, mu, lambda, seed) cell, in grid order.
+
+    Each run is one job. With ``workers > 1`` the pool takes the jobs in
+    descending expected cost, so the longest runs start first and the short
+    ones fill in behind them; the records come back in grid order.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    jobs = []
+    for n, mu, lam in config.cells():
+        engine = EngineConfig(config.fitness_spec(n), mu, lam, config.generation_cap)
+        jobs += [(engine, config.cell_seed(n, mu, lam, i), record_trace)
+                 for i in range(config.seed_count)]
+    if workers == 1:
+        return [run(*job) for job in jobs]
+    order = sorted(range(len(jobs)), key=lambda k: -_expected_cost(jobs[k][0]))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        done = dict(zip(order, pool.map(run, *zip(*(jobs[k] for k in order)))))
+    return [done[k] for k in range(len(jobs))]
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,6 +243,9 @@ SUMMARY_COLUMNS = [
     "median_generations", "std_generations", "mean_evaluations",
     "cap_hits", "config_hash",
 ]
+
+# The summary columns that ``read_summary_csv`` parses.
+SUMMARY_INPUT_COLUMNS = ("n", "mu", "lambda", "mean_generations", "mean_evaluations")
 
 TRACE_COLUMNS = [
     "generation", "k", "alpha", "alpha_star", "beta1", "beta_minus1",
@@ -343,18 +344,41 @@ def fit_scaling(records: list[RunRecord], unit: str = UNIT_GENERATIONS) -> FitRe
     return _fit_cells(cells, unit)
 
 
+def read_summary_csv(path: str) -> tuple[str, list[tuple[int, int, int, float, float]]]:
+    """The config hash stamped on a summary CSV ("unknown" when it has no
+    stamp) and its rows as (n, mu, lambda, mean_generations, mean_evaluations).
+
+    A file that lacks any of these columns, or a row that lacks a value,
+    raises ``ValueError`` naming them.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        first = fh.readline()
+        if first.startswith("# config_hash="):
+            config_hash = first.strip().split("=", 1)[1]
+        else:
+            config_hash = "unknown"
+            fh.seek(0)
+        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
+        missing = [c for c in SUMMARY_INPUT_COLUMNS if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ValueError(f"{path} lacks summary columns {missing}")
+        rows = []
+        for row in reader:
+            values = [row[c] for c in SUMMARY_INPUT_COLUMNS]
+            if None in values:
+                raise ValueError(f"{path}: data row {len(rows) + 1} lacks values")
+            n, mu, lam, gens, evals = values
+            rows.append((int(n), int(mu), int(lam), float(gens), float(evals)))
+    return config_hash, rows
+
+
 def fit_from_summary(path: str, unit: str = UNIT_GENERATIONS) -> FitResult:
     """Fit straight from a summary CSV produced by this module."""
     if unit not in (UNIT_GENERATIONS, UNIT_EVALUATIONS):
         raise ValueError(f"unknown unit {unit!r}")
-    cells = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.DictReader(r for r in fh if not r.startswith("#"))
-        for row in rows:
-            n, mu = int(row["n"]), int(row["mu"])
-            if unit == UNIT_GENERATIONS:
-                t = float(row["mean_generations"])
-            else:
-                t = float(row["mean_evaluations"]) - mu
-            cells.append((n, mu, t))
+    _, rows = read_summary_csv(path)
+    cells = [
+        (n, mu, gens if unit == UNIT_GENERATIONS else evals - mu)
+        for n, mu, _, gens, evals in rows
+    ]
     return _fit_cells(cells, unit)

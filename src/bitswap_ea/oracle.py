@@ -7,7 +7,7 @@ elitist replace rule. Agreement tests are meaningless otherwise.
 
 The Monte-Carlo oracles step their fixed populations with the engine's batched
 kernel, ``one_generation_blocks``, which draws from the same law as the scalar
-``one_generation`` that runs use. The enumerator evaluates its own swap
+reference step, ``one_generation``. The enumerator evaluates its own swap
 children and shares no table with the kernel, so it stays an independent
 check on it.
 """

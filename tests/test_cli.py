@@ -110,6 +110,16 @@ def test_sweep_rejects_bad_values_before_writing(tmp_path, capsys, override, mes
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_worker_count_below_one(tmp_path, capsys, workers):
+    cfg_path = write_config(tmp_path)
+    rc, out, err = invoke(capsys, "sweep", "--config", str(cfg_path),
+                          "--out", str(tmp_path / "out"), "--workers", workers)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: workers must be >= 1, got {workers}\n"
+
+
 def test_sweep_reports_malformed_json(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text("{not json")
@@ -259,3 +269,17 @@ def test_plot_data_emits_series(summary_csv, tmp_path, capsys):
     assert len(lines) == 4
     xs = [line.split()[0] for line in lines[1:]]
     assert xs == ["16", "24", "32"]
+
+
+@pytest.mark.parametrize("command", [["fit"], ["plot-data", "--out", "OUT"]])
+def test_summary_readers_name_missing_columns(tmp_path, capsys, command):
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b\n1,2\n")
+    out_dir = tmp_path / "plots"
+    argv = [str(out_dir) if a == "OUT" else a for a in command]
+    rc, out, err = invoke(capsys, argv[0], str(path), *argv[1:])
+    assert rc == 2
+    assert out == ""
+    assert err == (f"error: {path} lacks summary columns "
+                   "['n', 'mu', 'lambda', 'mean_generations', 'mean_evaluations']\n")
+    assert not out_dir.exists()

@@ -16,6 +16,7 @@ from bitswap_ea.harness import (
     ensure_out_dir,
     fit_from_summary,
     fit_scaling,
+    read_summary_csv,
     run_sweep,
     summarize,
     write_plot_data,
@@ -167,11 +168,25 @@ def test_sweep_is_deterministic():
 
 
 def test_parallel_sweep_matches_serial():
-    serial = run_sweep(SMALL, workers=1)
-    parallel = run_sweep(SMALL, workers=2)
-    assert [(r.seed, r.generations) for r in serial] == [
-        (r.seed, r.generations) for r in parallel
+    # the pool takes runs in descending mu*n*ln(n), which this grid's order
+    # is not, and must hand the records back in grid order
+    config = ExperimentConfig(
+        n_values=(16, 32, 8), mu_values=(3, 2), lam_values=(2,), seed_count=2,
+        base_seed=17,
+    )
+    serial = run_sweep(config, workers=1, record_trace=True)
+    parallel = run_sweep(config, workers=2, record_trace=True)
+    assert parallel == serial
+    assert [rec.seed for rec in serial] == [
+        config.cell_seed(n, mu, lam, i)
+        for n, mu, lam in config.cells() for i in range(config.seed_count)
     ]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_worker_count_below_one(workers):
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        run_sweep(SMALL, workers=workers)
 
 
 def test_extending_seed_count_keeps_existing_runs():
@@ -348,3 +363,14 @@ def test_fit_from_summary_matches_direct_fit(tmp_path, small_records):
     assert from_csv.a == pytest.approx(direct.a, rel=1e-12)
     assert from_csv.b == pytest.approx(direct.b, rel=1e-12)
     assert from_csv.r_squared == pytest.approx(direct.r_squared, rel=1e-9)
+
+
+def test_read_summary_csv_rejects_a_row_without_values(tmp_path):
+    path = tmp_path / "summary.csv"
+    path.write_text("n,mu,lambda,mean_generations,mean_evaluations\n"
+                    "16,2,2,40.5,166.0\n32,2\n")
+    with pytest.raises(ValueError, match="data row 2 lacks values"):
+        read_summary_csv(str(path))
+    path.write_text("# config_hash=abc\nn,mu,lambda,mean_generations,mean_evaluations\n"
+                    "16,2,2,40.5,166.0\n")
+    assert read_summary_csv(str(path)) == ("abc", [(16, 2, 2, 40.5, 166.0)])

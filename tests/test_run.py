@@ -1,0 +1,97 @@
+"""Whole runs: ``run`` against the public scalar step, fixed values, exact E[T].
+
+``run`` holds its population as plain ints but must give, seed for seed, the
+run that repeated ``one_generation`` calls give. These tests pin that stream.
+"""
+
+import math
+import statistics
+
+import pytest
+
+from bitswap_ea.engine import (
+    TERMINATED_CAP,
+    TERMINATED_OPTIMUM,
+    EngineConfig,
+    RunRecord,
+    classify_partition,
+    init_population,
+    one_generation,
+    run,
+)
+from bitswap_ea.fitness import FitnessSpec
+from bitswap_ea.genome import make_rng, mix_seed
+
+SEEDS = range(200)
+
+
+def reference_run(config: EngineConfig, seed: int, record_trace: bool = True) -> RunRecord:
+    """``run`` rebuilt from the public step: one ``one_generation`` per
+    generation, the optimum judged on the best member's stored fitness."""
+    rng = make_rng(seed)
+    spec = config.spec
+    pop = init_population(config, rng)
+    trace = [classify_partition(pop)] if record_trace else []
+    generations = 0
+    while pop.best_fitness() != spec.max_fitness and generations < config.cap:
+        pop = one_generation(pop, spec, config.lam, rng)
+        generations += 1
+        if record_trace:
+            trace.append(classify_partition(pop))
+    terminated = (TERMINATED_OPTIMUM if pop.best_fitness() == spec.max_fitness
+                  else TERMINATED_CAP)
+    return RunRecord(seed, spec, config.mu, config.lam, generations,
+                     config.mu + 2 * config.lam * generations, terminated, trace)
+
+
+@pytest.mark.parametrize(
+    "config, record_trace",
+    [
+        (EngineConfig(FitnessSpec.onemax(32), 2, 2), True),
+        (EngineConfig(FitnessSpec.onemax(12), 3, 6), True),
+        (EngineConfig(FitnessSpec.onemax(64), 16, 2), True),
+        (EngineConfig(FitnessSpec.plateau(12, 3), 4, 4), True),
+        (EngineConfig(FitnessSpec.plateau(12, 1), 4, 4), True),
+        (EngineConfig(FitnessSpec.plateau(12, 3), 4, 4, generation_cap=5), True),
+        (EngineConfig(FitnessSpec.onemax(32), 2, 2, generation_cap=5), True),
+        (EngineConfig(FitnessSpec.onemax(32), 2, 2), False),
+    ],
+    ids=["onemax32-2-2", "onemax12-3-6", "onemax64-16-2", "plateau12g3-4-4",
+         "plateau12g1-4-4", "plateau-cap5", "onemax-cap5", "onemax-untraced"],
+)
+def test_run_equals_the_public_step_seed_for_seed(config, record_trace):
+    for seed in SEEDS:
+        assert run(config, seed, record_trace) == reference_run(config, seed, record_trace)
+
+
+@pytest.mark.parametrize(
+    "spec, mu, lam, generations",
+    [
+        (FitnessSpec.onemax(64), 2, 2, [123, 251, 228, 180, 226]),
+        (FitnessSpec.onemax(32), 3, 6, [50, 79, 32, 95, 39]),
+        (FitnessSpec.plateau(12, 3), 4, 4, [12, 29, 42, 41, 7]),
+    ],
+)
+def test_run_generations_match_fixed_values(spec, mu, lam, generations):
+    # recorded from the engine that stepped Individual objects with
+    # one_generation; a change here is a change of the seeded stream
+    config = EngineConfig(spec, mu, lam)
+    assert [run(config, seed).generations for seed in range(5)] == generations
+
+
+# Exact E[T] of the mu = lambda = 2 OneMax engine, from the ones-count Markov
+# chain solved in perfbench/reference.py (expected_generations), which shares
+# no code with src/.
+EXACT_GENERATIONS = {16: 37.1868, 32: 91.6412}
+WHOLE_RUN_SEEDS = 1000
+SE_LIMIT = 4.0
+
+
+@pytest.mark.parametrize("n", sorted(EXACT_GENERATIONS))
+def test_whole_run_mean_matches_exact_expectation(n):
+    config = EngineConfig(FitnessSpec.onemax(n), 2, 2)
+    gens = [run(config, mix_seed(0, n, 2, 2, i), record_trace=False).generations
+            for i in range(WHOLE_RUN_SEEDS)]
+    mean = statistics.fmean(gens)
+    se = statistics.stdev(gens) / math.sqrt(len(gens))
+    assert abs(mean - EXACT_GENERATIONS[n]) <= SE_LIMIT * se, (mean, se)
