@@ -16,6 +16,7 @@ from .fitness import FitnessSpec
 from .genome import make_rng
 from .harness import (
     ExperimentConfig,
+    check_workers,
     ensure_out_dir,
     fit_from_summary,
     read_summary_csv,
@@ -64,6 +65,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_json(args.config)
     out_dir = args.out or config.out_dir
+    check_workers(args.workers)
     ensure_out_dir(out_dir)
     records = run_sweep(config, workers=args.workers)
     h = config.config_hash

@@ -161,6 +161,11 @@ def _expected_cost(engine: EngineConfig) -> float:
     return engine.mu * engine.spec.n * math.log(engine.spec.n)
 
 
+def check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def run_sweep(
     config: ExperimentConfig, workers: int = 1, record_trace: bool = False
 ) -> list[RunRecord]:
@@ -170,8 +175,7 @@ def run_sweep(
     descending expected cost, so the longest runs start first and the short
     ones fill in behind them; the records come back in grid order.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_workers(workers)
     jobs = []
     for n, mu, lam in config.cells():
         engine = EngineConfig(config.fitness_spec(n), mu, lam, config.generation_cap)

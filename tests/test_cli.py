@@ -118,6 +118,7 @@ def test_sweep_rejects_worker_count_below_one(tmp_path, capsys, workers):
     assert rc == 2
     assert out == ""
     assert err == f"error: workers must be >= 1, got {workers}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_reports_malformed_json(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 
 from bitswap_ea.engine import (
     BATCH_ENTRANTS,
+    ElitismPartition,
     EngineConfig,
     _batch_offspring,
     _batch_replace,
     _SwapTable,
+    _uniform_subset,
     batch_rows,
     classify_partition,
     decode_slot,
@@ -35,9 +38,9 @@ class ForcedRng:
     single decision path can be pinned down, and records every call. A draw
     that was not queued raises ``IndexError``."""
 
-    def __init__(self, integers=(), permutations=()):
+    def __init__(self, integers=(), orders=()):
         self._integers = list(integers)
-        self._permutations = list(permutations)
+        self._orders = list(orders)
         self.calls = []
 
     def integers(self, low, high=None, size=None):
@@ -45,12 +48,14 @@ class ForcedRng:
         value = self._integers.pop(0)
         return np.asarray(value) if size is not None else value
 
-    def permutation(self, x):
-        self.calls.append(("permutation", x))
-        return np.asarray(self._permutations.pop(0))
+    def shuffle(self, x):
+        """Reorder ``x`` in place so that ``x[t]`` becomes the old
+        ``x[order[t]]``, as indexing through a permutation would."""
+        self.calls.append(("shuffle", len(x)))
+        x[:] = [x[i] for i in self._orders.pop(0)]
 
     def exhausted(self) -> bool:
-        return not self._integers and not self._permutations
+        return not self._integers and not self._orders
 
 
 def slot(i: int, j: int, coin: int, pos: int, mu: int, n: int) -> int:
@@ -122,9 +127,9 @@ def test_one_generation_makes_at_most_two_draws():
             calls.append("integers")
             return self._rng.integers(*args, **kwargs)
 
-        def permutation(self, x):
-            calls.append("permutation")
-            return self._rng.permutation(x)
+        def shuffle(self, x):
+            calls.append("shuffle")
+            self._rng.shuffle(x)
 
     rng = Recording(make_rng(5))
     seen = set()
@@ -132,7 +137,7 @@ def test_one_generation_makes_at_most_two_draws():
         calls.clear()
         pop = one_generation(pop, spec, 6, rng)
         # one pool draw, then at most one partial subset in replace
-        assert calls in (["integers"], ["integers", "permutation"])
+        assert calls in (["integers"], ["integers", "shuffle"])
         seen.add(len(calls))
     assert seen == {1, 2}
 
@@ -162,16 +167,16 @@ def test_replace_fills_with_best_offspring_then_rest():
     offspring = [fake(6), fake(2), fake(1)]
     # one slot remains after the new elite; a uniform pick of the other
     # offspring fills it
-    rng = ForcedRng(permutations=[[1, 0]])
+    rng = ForcedRng(orders=[[1, 0]])
     new = replace(pop, offspring, rng)
     assert sorted(i.fitness for i in new.members) == [1, 5, 6]
-    assert rng.calls == [("permutation", 2)]
+    assert rng.calls == [("shuffle", 2)]
 
 
 def test_replace_keeps_every_current_best():
     pop = Population((fake(7), fake(7), fake(1)))
     offspring = [fake(2), fake(2)]
-    rng = ForcedRng(permutations=[[0, 1]])
+    rng = ForcedRng(orders=[[0, 1]])
     new = replace(pop, offspring, rng)
     fits = sorted(i.fitness for i in new.members)
     assert fits[1:] == [7, 7]
@@ -183,22 +188,22 @@ def test_replace_without_enough_offspring_keeps_survivors():
     pop = Population((fake(5), fake(3), fake(2)))
     # the lone offspring takes its slot without a draw; one of the two
     # non-elite survivors is drawn for the last slot
-    rng = ForcedRng(permutations=[[0, 1]])
+    rng = ForcedRng(orders=[[0, 1]])
     new = replace(pop, [fake(1)], rng)
     assert sorted(i.fitness for i in new.members) == [1, 3, 5]
-    assert rng.calls == [("permutation", 2)]
+    assert rng.calls == [("shuffle", 2)]
 
 
 def test_replace_overflow_takes_uniform_subset_of_elite_pool():
     # all members already best; a qualifying offspring competes uniformly
     pop = Population((fake(4, aux=0), fake(4, aux=1)))
     offspring = [fake(4, aux=9), fake(0)]
-    rng = ForcedRng(permutations=[[0, 2, 1]])
+    rng = ForcedRng(orders=[[0, 2, 1]])
     new = replace(pop, offspring, rng)
     auxes = sorted(i.aux for i in new.members)
     assert auxes == [0, 9]
     assert len(new.members) == 2
-    assert rng.calls == [("permutation", 3)]
+    assert rng.calls == [("shuffle", 3)]
 
 
 def test_replace_changes_at_most_the_non_elite_slots():
@@ -226,6 +231,45 @@ def test_replace_draws_nothing_for_empty_or_whole_subsets(members, offspring):
     new = replace(pop, offspring, ForcedRng())
     assert len(new.members) == pop.mu
     assert new.best_fitness() >= pop.best_fitness()
+
+
+@pytest.mark.parametrize("seed", [0, 2024])
+def test_uniform_subset_draws_as_indexing_through_a_permutation(seed):
+    # rng.shuffle and rng.permutation run the same Fisher-Yates pass; this
+    # pins that numpy behaviour, on which every seeded run depends
+    rng, twin = make_rng(seed), make_rng(seed)
+    for m in range(1, 71):
+        items = list(range(100, 100 + m))
+        for k in range(m + 1):
+            got = _uniform_subset(items, k, rng)
+            if 0 < k < m:
+                assert got == [items[i] for i in twin.permutation(m)[:k].tolist()]
+            else:
+                assert got == items[:k]
+            assert items == list(range(100, 100 + m))
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_elitism_partition_is_an_immutable_named_row():
+    assert ElitismPartition._fields == (
+        "alpha", "beta1", "beta_minus1", "alpha_star", "k", "best_aux")
+    part = ElitismPartition(alpha=2, beta1=1, beta_minus1=3, alpha_star=1, k=7, best_aux=4)
+    assert part == ElitismPartition(2, 1, 3, 1, 7, 4)
+    assert (part.k, part.best_aux, part.total) == (7, 4, 6)
+    with pytest.raises(AttributeError):
+        part.alpha = 5
+
+
+@pytest.mark.parametrize("record_trace", [True, False])
+def test_run_record_survives_a_pickle_round_trip(record_trace):
+    rec = run(EngineConfig(FitnessSpec.plateau(12, 3), 4, 4), 3, record_trace)
+    back = pickle.loads(pickle.dumps(rec))
+    assert back == rec
+    if record_trace:
+        assert len(back.trace) == rec.generations + 1
+        assert all(type(row) is ElitismPartition for row in back.trace)
+    else:
+        assert back.trace == []
 
 
 def test_classify_partition_counts_three_levels():

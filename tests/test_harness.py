@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from bitswap_ea.engine import RunRecord
+from bitswap_ea.engine import ElitismPartition, RunRecord
 from bitswap_ea.fitness import FitnessSpec
 from bitswap_ea.genome import mix_seed
 from bitswap_ea.harness import (
@@ -177,6 +177,8 @@ def test_parallel_sweep_matches_serial():
     serial = run_sweep(config, workers=1, record_trace=True)
     parallel = run_sweep(config, workers=2, record_trace=True)
     assert parallel == serial
+    # rows rebuilt as plain tuples would still compare equal
+    assert all(type(row) is ElitismPartition for rec in parallel for row in rec.trace)
     assert [rec.seed for rec in serial] == [
         config.cell_seed(n, mu, lam, i)
         for n, mu, lam in config.cells() for i in range(config.seed_count)

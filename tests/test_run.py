@@ -82,7 +82,7 @@ def test_run_generations_match_fixed_values(spec, mu, lam, generations):
 # Exact E[T] of the mu = lambda = 2 OneMax engine, from the ones-count Markov
 # chain solved in perfbench/reference.py (expected_generations), which shares
 # no code with src/.
-EXACT_GENERATIONS = {16: 37.1868, 32: 91.6412}
+EXACT_GENERATIONS = {16: 37.1868, 32: 91.6412, 64: 217.96590}
 WHOLE_RUN_SEEDS = 1000
 SE_LIMIT = 4.0
 
