@@ -133,23 +133,13 @@ def harmonic(m: int) -> float:
     return float(np.sum(1.0 / np.arange(1, m + 1, dtype=np.float64)))
 
 
-def digamma_family(order: int, x: float) -> float:
-    """Polygamma value of the given order (0, 1 or 2) for x > 0.
+def digamma(x: float) -> float:
+    """Digamma for x > 0, as are ``trigamma`` and ``tetragamma`` below.
 
-    Shifts the argument above a threshold with the exact recurrences, then
+    Shifts the argument above a threshold with the exact recurrence, then
     evaluates the asymptotic tail series. Absolute error stays below 1e-10
     across the tested domain.
     """
-    if order == 0:
-        return digamma(x)
-    if order == 1:
-        return trigamma(x)
-    if order == 2:
-        return tetragamma(x)
-    raise ValueError(f"order must be 0, 1 or 2, got {order}")
-
-
-def digamma(x: float) -> float:
     if x <= 0:
         raise ValueError(f"argument must be > 0, got {x}")
     terms = []

@@ -27,15 +27,23 @@ generations at once, for the Monte-Carlo oracles. Per block of at most
 block's pools and one ``rng.random`` call for its replacement keys, so its
 stream is its own; the scalar step above stays the reference for the kernel.
 
-``run`` holds its population as three lists of ints (words, fitness and aux
-values) after ``init_population`` and builds no ``Individual`` in its loop.
-Each decision is one private rule that it shares with the scalar step:
-``_pool`` (draw, ``decode_slot`` and ``_winner``), ``_swap``,
-``fitness.evaluate_word``, ``_kept`` (the replacement order) and
-``_partition``. It makes the same generator calls in the same order, so a
-seed gives the run that repeated ``one_generation`` calls would give. One
-scan for the best fitness per generation serves the stop test, which is
-``best == spec.max_fitness``, and the replacement.
+``run`` holds its population as one list of ``(fitness, aux, word)`` records
+after ``init_population`` and builds no ``Individual`` in its loop. Each
+decision is one private rule that it shares with the scalar step, which wraps
+its ``Individual``s as ``(fitness, aux, individual)`` records: ``_pool`` (draw,
+``decode_slot`` and ``_winner``), ``_swap``, ``fitness.evaluate_word``,
+``_split`` (the best level ``k`` and the members at and below it),
+``_replace`` (the replacement order) and ``_partition``. It makes the same
+generator calls in the same order, so a seed gives the run that repeated
+``one_generation`` calls would give.
+
+``run`` also knows where the elite ends. ``_replace`` puts the retained members
+first, in population order, then the new elite (offspring at ``k``), and every
+entrant after them is below ``k``. So after a generation that does not raise
+``k`` the next members at ``k`` are the first ``alpha`` records and the rest
+are below it, the lists a scan would build, in the same order; ``run`` slices
+there and scans with ``_split`` only at start-up and after a level gain. The
+stop test is ``k == spec.max_fitness``.
 
 Trace rows are ``ElitismPartition`` named tuples. A pickled ``RunRecord``
 carries its trace as one flat tuple of ints, six per row, which the sweep
@@ -52,6 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -66,9 +75,6 @@ from .genome import (
     random_genome,
 )
 
-INIT_UNIFORM = "uniform_random"
-INIT_BALANCED = "balanced_bins"
-
 TERMINATED_OPTIMUM = "optimum"
 TERMINATED_CAP = "generation_cap"
 
@@ -79,6 +85,11 @@ INT64_MAX = 2**63 - 1
 # mu + lambda) per pair of draws, so its working arrays grow neither with the
 # trial count nor with the population.
 BATCH_ENTRANTS = 8192
+
+# A record is one member or offspring as ``(fitness, aux, word)`` in ``run``,
+# or ``(fitness, aux, individual)`` in the public scalar step.
+_FITNESS = itemgetter(0)
+_AUX = itemgetter(1)
 
 
 def default_generation_cap(mu: int, n: int) -> int:
@@ -91,17 +102,12 @@ class EngineConfig:
     mu: int
     lam: int
     generation_cap: int | None = None
-    init_mode: str = INIT_UNIFORM
 
     def __post_init__(self) -> None:
         if self.mu < 2:
             raise ValueError(f"mu must be >= 2, got {self.mu}")
         if self.lam < 2 or self.lam % 2 != 0:
             raise ValueError(f"lambda must be even and >= 2, got {self.lam}")
-        if self.init_mode not in (INIT_UNIFORM, INIT_BALANCED):
-            raise ValueError(f"unknown init mode {self.init_mode!r}")
-        if self.init_mode == INIT_BALANCED and self.spec.kind != "plateau_royal_road":
-            raise ValueError("balanced_bins init requires the plateau fitness")
         if self.generation_cap is not None and self.generation_cap < 0:
             raise ValueError("generation cap must be >= 0")
         if self.mu * self.mu * 2 * self.spec.n > INT64_MAX:
@@ -167,23 +173,35 @@ def _rebuild_record(seed, spec, mu, lam, generations, evaluations, terminated, f
     return RunRecord(seed, spec, mu, lam, generations, evaluations, terminated, trace)
 
 
-def _partition(fitness: list[int], aux: list[int]) -> ElitismPartition:
-    """``classify_partition`` over a population's fitness and aux lists."""
-    k = max(fitness)
-    top_aux = [a for f, a in zip(fitness, aux) if f == k]
-    lower = [f for f in fitness if f < k]
-    alpha = len(top_aux)
-    beta1 = lower.count(max(lower)) if lower else 0
+def _split(records: list[tuple]) -> tuple[int, list[tuple], list[tuple]]:
+    """``(k, retained, survivors)``: the best fitness, then the records at it
+    and those below it, each in population order."""
+    k = max(map(_FITNESS, records))
+    retained, survivors = [], []
+    for r in records:
+        (retained if r[0] == k else survivors).append(r)
+    return k, retained, survivors
+
+
+def _partition(k: int, retained: list[tuple], survivors: list[tuple]) -> ElitismPartition:
+    """``classify_partition`` from ``_split``'s lists."""
+    top_aux = list(map(_AUX, retained))
     best_aux = max(top_aux)
+    lower = list(map(_FITNESS, survivors))
+    beta1 = lower.count(max(lower)) if lower else 0
     # positional, in field order: a named tuple builds twice as fast that way
     return ElitismPartition(
-        alpha, beta1, len(fitness) - alpha - beta1, top_aux.count(best_aux), k, best_aux
+        len(retained), beta1, len(lower) - beta1, top_aux.count(best_aux), k, best_aux
     )
 
 
+def _records(members) -> list[tuple]:
+    """``Individual``s as ``(fitness, aux, individual)`` records."""
+    return [(ind.fitness, ind.aux, ind) for ind in members]
+
+
 def classify_partition(pop: Population) -> ElitismPartition:
-    members = pop.members
-    return _partition([ind.fitness for ind in members], [ind.aux for ind in members])
+    return _partition(*_split(_records(pop.members)))
 
 
 def decode_slot(code: int, mu: int, n: int) -> tuple[int, int, int, int]:
@@ -199,29 +217,29 @@ def decode_slot(code: int, mu: int, n: int) -> tuple[int, int, int, int]:
     return i, j, coin, pos
 
 
-def _winner(fitness: list[int], i: int, j: int, coin: int) -> int:
-    """Members ``i`` and ``j`` compete; higher fitness wins, ``coin`` breaks ties."""
-    fi, fj = fitness[i], fitness[j]
-    if fi > fj:
-        return i
-    if fj > fi:
-        return j
-    return j if coin else i
+def _winner(records: list[tuple], i: int, j: int, coin: int) -> tuple:
+    """Records ``i`` and ``j`` compete; higher fitness wins, ``coin`` breaks ties."""
+    a, b = records[i], records[j]
+    if a[0] > b[0]:
+        return a
+    if b[0] > a[0]:
+        return b
+    return b if coin else a
 
 
-def _pool(fitness: list[int], n: int, lam: int, rng: RandomSource) -> list[tuple[int, int]]:
-    """Draw the pool and run its tournaments: (winner index, swap position) per slot."""
-    mu = len(fitness)
+def _pool(records: list[tuple], n: int, lam: int, rng: RandomSource) -> list[tuple[tuple, int]]:
+    """Draw the pool and run its tournaments: (winner record, swap position) per slot."""
+    mu = len(records)
     slots = []
     for code in rng.integers(0, mu * mu * 2 * n, size=lam).tolist():
         i, j, coin, pos = decode_slot(code, mu, n)
-        slots.append((_winner(fitness, i, j, coin), pos))
+        slots.append((_winner(records, i, j, coin), pos))
     return slots
 
 
 def tournament_select(pop: Population, i: int, j: int, coin: int) -> Individual:
     """Members ``i`` and ``j`` compete; higher fitness wins, ``coin`` breaks ties."""
-    return pop.members[_winner([ind.fitness for ind in pop.members], i, j, coin)]
+    return _winner(_records(pop.members), i, j, coin)[2]
 
 
 def fill_pool(
@@ -231,12 +249,8 @@ def fill_pool(
 
     Each pair carries its two winners' swap positions.
     """
-    members = pop.members
-    slots = _pool([ind.fitness for ind in members], n, lam, rng)
-    return [
-        (members[a], members[b], i, j)
-        for (a, i), (b, j) in zip(slots[::2], slots[1::2])
-    ]
+    slots = _pool(_records(pop.members), n, lam, rng)
+    return [(a[2], b[2], i, j) for (a, i), (b, j) in zip(slots[::2], slots[1::2])]
 
 
 def _swap(w1: int, w2: int, i: int, j: int, n: int) -> tuple[int, int] | None:
@@ -268,7 +282,7 @@ def one_bit_swap(
             make_individual(spec, Genome(n, words[1])))
 
 
-def _uniform_subset(items: list[int], k: int, rng: RandomSource) -> list[int]:
+def _uniform_subset(items: list, k: int, rng: RandomSource) -> list:
     """A uniform ``k``-subset of ``items``; no draw when ``k`` is 0 or all of them.
 
     The first ``k`` of a shuffled copy: the same elements, in the same order
@@ -283,27 +297,25 @@ def _uniform_subset(items: list[int], k: int, rng: RandomSource) -> list[int]:
     return items[:k]
 
 
-def _kept(
-    fitness: list[int], best: int, off_fitness: list[int], rng: RandomSource
-) -> list[int]:
-    """``replace``'s rule: the kept entrants, in order, as indices into the
-    members followed by the offspring (offspring ``t`` is ``mu + t``).
+def _replace(
+    k: int, retained: list[tuple], survivors: list[tuple], offspring: list[tuple],
+    rng: RandomSource,
+) -> list[tuple]:
+    """``replace``'s rule on records: the next population, in order.
 
-    ``best`` is the members' best fitness. The order is retained members, new
-    elite, the subset of the other offspring, then the subset of the non-elite
-    members; on overflow it is the subset of retained plus new elite.
+    ``k``, ``retained`` and ``survivors`` are ``_split`` of the members. The
+    order is retained members, new elite (offspring at or above ``k``), a
+    subset of the other offspring, then a subset of the survivors; on overflow
+    it is a uniform ``mu``-subset of retained plus new elite.
     """
-    mu = len(fitness)
-    retained = [e for e, f in enumerate(fitness) if f == best]
-    new_elite = [mu + t for t, f in enumerate(off_fitness) if f >= best]
-    if len(retained) + len(new_elite) > mu:
-        return _uniform_subset(retained + new_elite, mu, rng)
-    rest = [mu + t for t, f in enumerate(off_fitness) if f < best]
-    survivors = [e for e, f in enumerate(fitness) if f < best]
-    kept = retained + new_elite
-    kept += _uniform_subset(rest, min(mu - len(kept), len(rest)), rng)
-    kept += _uniform_subset(survivors, mu - len(kept), rng)
-    return kept
+    mu = len(retained) + len(survivors)
+    pop = retained + [o for o in offspring if o[0] >= k]
+    if len(pop) > mu:
+        return _uniform_subset(pop, mu, rng)
+    rest = [o for o in offspring if o[0] < k]
+    pop += _uniform_subset(rest, min(mu - len(pop), len(rest)), rng)
+    pop += _uniform_subset(survivors, mu - len(pop), rng)
+    return pop
 
 
 def replace(
@@ -318,11 +330,9 @@ def replace(
     survives. If the offspring run out before the population is full,
     uniformly chosen non-elite survivors stay.
     """
-    fitness = [ind.fitness for ind in pop.members]
-    kept = _kept(fitness, max(fitness), [o.fitness for o in offspring], rng)
-    entrants = pop.members + tuple(offspring)
+    kept = _replace(*_split(_records(pop.members)), _records(offspring), rng)
     assert len(kept) == pop.mu
-    return Population(tuple(entrants[e] for e in kept))
+    return Population(tuple(r[2] for r in kept))
 
 
 def one_generation(
@@ -454,81 +464,57 @@ def one_generation_batch(
     return np.concatenate(fitness), np.concatenate(aux)
 
 
-def _balanced_bins_genome(spec: FitnessSpec, rng: RandomSource) -> Genome:
-    # floor(gamma/2) ones per bin, uniformly placed inside the bin
-    assert spec.gamma is not None
-    gamma = spec.gamma
-    word = 0
-    for b in range(spec.bin_count):
-        start = b * gamma
-        if gamma // 2 > 0:
-            for off in rng.choice(gamma, size=gamma // 2, replace=False):
-                word |= 1 << (spec.n - 1 - (start + int(off)))
-    return Genome(spec.n, word)
-
-
 def init_population(config: EngineConfig, rng: RandomSource) -> Population:
-    members = []
-    for _ in range(config.mu):
-        if config.init_mode == INIT_BALANCED:
-            g = _balanced_bins_genome(config.spec, rng)
-        else:
-            g = random_genome(config.spec.n, rng)
-        members.append(make_individual(config.spec, g))
-    return Population(tuple(members))
+    spec = config.spec
+    return Population(tuple(
+        make_individual(spec, random_genome(spec.n, rng)) for _ in range(config.mu)
+    ))
 
 
 def run(config: EngineConfig, seed: int, record_trace: bool = True) -> RunRecord:
     """Run to the optimum or the generation cap; trace includes the initial state.
 
-    After ``init_population`` the population is three lists, of words, fitness
-    and aux values, stepped by the rules and draws of ``one_generation``: a
+    After ``init_population`` the population is a list of ``(fitness, aux,
+    word)`` records, stepped by the rules and draws of ``one_generation``: a
     seed gives the run that repeated ``one_generation`` calls would give.
     """
     rng = make_rng(seed)
     spec = config.spec
-    n, lam, cap, top = spec.n, config.lam, config.cap, spec.max_fitness
-    members = init_population(config, rng).members
-    words = [ind.genome.word for ind in members]
-    fitness = [ind.fitness for ind in members]
-    aux = [ind.aux for ind in members]
+    n, mu, lam, cap, top = spec.n, config.mu, config.lam, config.cap, spec.max_fitness
+    pop = [(ind.fitness, ind.aux, ind.genome.word)
+           for ind in init_population(config, rng).members]
+    k, retained, survivors = _split(pop)
     trace = []
     generations = 0
 
     while True:
         if record_trace:
-            trace.append(_partition(fitness, aux))
-            best = trace[-1].k
-        else:
-            best = max(fitness)
-        if best == top:
+            trace.append(_partition(k, retained, survivors))
+        if k == top:
             terminated = TERMINATED_OPTIMUM
             break
         if generations >= cap:
             terminated = TERMINATED_CAP
             break
-        off_words, off_fitness, off_aux = [], [], []
-        slots = _pool(fitness, n, lam, rng)
+        offspring = []
+        slots = _pool(pop, n, lam, rng)
         for (a, i), (b, j) in zip(slots[::2], slots[1::2]):
-            pair = _swap(words[a], words[b], i, j, n)
+            pair = _swap(a[2], b[2], i, j, n)
             if pair is None:
-                off_words += (words[a], words[b])
-                off_fitness += (fitness[a], fitness[b])
-                off_aux += (aux[a], aux[b])
+                offspring += (a, b)
                 continue
             for word in pair:
-                f, x = evaluate_word(spec, word)
-                off_words.append(word)
-                off_fitness.append(f)
-                off_aux.append(x)
-        kept = _kept(fitness, best, off_fitness, rng)
-        words += off_words
-        fitness += off_fitness
-        aux += off_aux
-        words = [words[e] for e in kept]
-        fitness = [fitness[e] for e in kept]
-        aux = [aux[e] for e in kept]
+                offspring.append((*evaluate_word(spec, word), word))
+        pop = _replace(k, retained, survivors, offspring, rng)
         generations += 1
+        off_fitness = list(map(_FITNESS, offspring))
+        if max(off_fitness) > k:
+            k, retained, survivors = _split(pop)
+        else:
+            # no level gain: the retained members and the new elite lead
+            # ``pop`` and everything after them is below ``k``
+            alpha = min(mu, len(retained) + off_fitness.count(k))
+            retained, survivors = pop[:alpha], pop[alpha:]
 
     return RunRecord(
         seed=seed,

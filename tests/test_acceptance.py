@@ -2,6 +2,7 @@
 tolerance and time budget. Run with -v for one pass/fail line per criterion."""
 
 import math
+import os
 import random
 import statistics
 import time
@@ -30,7 +31,9 @@ from bitswap_ea.oracle import (
 )
 from bitswap_ea.verify import SMALL_FIXTURES
 
-WORKERS = 4
+# the CPUs this process may use, as perfbench counts them; the records come
+# back in grid order, so no output depends on it
+WORKERS = len(os.sched_getaffinity(0))
 
 
 @pytest.fixture(scope="module")

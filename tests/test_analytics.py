@@ -11,7 +11,6 @@ from bitswap_ea.analytics import (
     cubic_level_sum,
     cubic_levelsum_coefficients,
     digamma,
-    digamma_family,
     event_probs,
     harmonic,
     phi,
@@ -151,14 +150,6 @@ def test_polygamma_reference_values():
     assert tetragamma(1.0) == pytest.approx(-2.4041138063191885, abs=1e-12)
     assert digamma(0.5) == pytest.approx(-EULER_GAMMA - 2 * math.log(2), abs=1e-12)
     assert trigamma(0.5) == pytest.approx(math.pi**2 / 2, abs=1e-12)
-
-
-def test_digamma_family_dispatch_and_order_check():
-    assert digamma_family(0, 2.5) == digamma(2.5)
-    assert digamma_family(1, 2.5) == trigamma(2.5)
-    assert digamma_family(2, 2.5) == tetragamma(2.5)
-    with pytest.raises(ValueError):
-        digamma_family(3, 2.5)
 
 
 @given(st.floats(0.1, 25.0, allow_nan=False))

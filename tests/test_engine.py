@@ -311,8 +311,6 @@ def test_engine_config_validation():
         EngineConfig(spec, mu=2, lam=3)
     with pytest.raises(ValueError):
         EngineConfig(spec, mu=2, lam=0)
-    with pytest.raises(ValueError):
-        EngineConfig(spec, mu=2, lam=2, init_mode="balanced_bins")
 
 
 def test_engine_config_rejects_pool_draw_beyond_int64():
@@ -320,16 +318,6 @@ def test_engine_config_rejects_pool_draw_beyond_int64():
     EngineConfig(FitnessSpec.onemax(3), mu=2**30, lam=2)
     with pytest.raises(ValueError, match="int64"):
         EngineConfig(FitnessSpec.onemax(4), mu=2**30, lam=2)
-
-
-def test_init_population_balanced_bins():
-    cfg = EngineConfig(FitnessSpec.plateau(12, 4), mu=3, lam=2,
-                       init_mode="balanced_bins")
-    pop = init_population(cfg, make_rng(0))
-    for member in pop.members:
-        for b in range(3):
-            chunk = (member.genome.word >> (b * 4)) & 0xF
-            assert bin(chunk).count("1") == 2
 
 
 def test_run_is_deterministic():

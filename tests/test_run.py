@@ -12,8 +12,11 @@ import pytest
 from bitswap_ea.engine import (
     TERMINATED_CAP,
     TERMINATED_OPTIMUM,
+    ElitismPartition,
     EngineConfig,
     RunRecord,
+    _partition,
+    _split,
     classify_partition,
     init_population,
     one_generation,
@@ -45,23 +48,48 @@ def reference_run(config: EngineConfig, seed: int, record_trace: bool = True) ->
 
 
 @pytest.mark.parametrize(
-    "config, record_trace",
+    "config, record_trace, seeds",
     [
-        (EngineConfig(FitnessSpec.onemax(32), 2, 2), True),
-        (EngineConfig(FitnessSpec.onemax(12), 3, 6), True),
-        (EngineConfig(FitnessSpec.onemax(64), 16, 2), True),
-        (EngineConfig(FitnessSpec.plateau(12, 3), 4, 4), True),
-        (EngineConfig(FitnessSpec.plateau(12, 1), 4, 4), True),
-        (EngineConfig(FitnessSpec.plateau(12, 3), 4, 4, generation_cap=5), True),
-        (EngineConfig(FitnessSpec.onemax(32), 2, 2, generation_cap=5), True),
-        (EngineConfig(FitnessSpec.onemax(32), 2, 2), False),
+        (EngineConfig(FitnessSpec.onemax(32), 2, 2), True, SEEDS),
+        (EngineConfig(FitnessSpec.onemax(12), 3, 6), True, SEEDS),
+        (EngineConfig(FitnessSpec.onemax(64), 16, 2), True, SEEDS),
+        (EngineConfig(FitnessSpec.onemax(128), 64, 2), True, range(8)),
+        (EngineConfig(FitnessSpec.plateau(12, 3), 4, 4), True, SEEDS),
+        (EngineConfig(FitnessSpec.plateau(12, 1), 4, 4), True, SEEDS),
+        (EngineConfig(FitnessSpec.plateau(16, 4), 8, 6), True, range(50)),
+        (EngineConfig(FitnessSpec.plateau(12, 3), 4, 4, generation_cap=5), True, SEEDS),
+        (EngineConfig(FitnessSpec.onemax(32), 2, 2, generation_cap=5), True, SEEDS),
+        (EngineConfig(FitnessSpec.onemax(32), 2, 2), False, SEEDS),
     ],
-    ids=["onemax32-2-2", "onemax12-3-6", "onemax64-16-2", "plateau12g3-4-4",
-         "plateau12g1-4-4", "plateau-cap5", "onemax-cap5", "onemax-untraced"],
+    ids=["onemax32-2-2", "onemax12-3-6", "onemax64-16-2", "onemax128-64-2",
+         "plateau12g3-4-4", "plateau12g1-4-4", "plateau16g4-8-6", "plateau-cap5",
+         "onemax-cap5", "onemax-untraced"],
 )
-def test_run_equals_the_public_step_seed_for_seed(config, record_trace):
-    for seed in SEEDS:
+def test_run_equals_the_public_step_seed_for_seed(config, record_trace, seeds):
+    for seed in seeds:
         assert run(config, seed, record_trace) == reference_run(config, seed, record_trace)
+
+
+def test_plateau_shape_splits_the_elite_by_aux():
+    # the plateau16g4-8-6 shape above covers rows whose elite holds members
+    # of more than one ones count (alpha_star < alpha)
+    config = EngineConfig(FitnessSpec.plateau(16, 4), 8, 6)
+    rows = [row for seed in range(5) for row in run(config, seed).trace]
+    assert any(row.alpha_star < row.alpha for row in rows)
+
+
+def test_split_keeps_population_order_and_ties():
+    records = [(3, 5, "a"), (4, 6, "b"), (2, 2, "c"), (4, 4, "d"), (4, 6, "e"), (3, 3, "f")]
+    k, retained, survivors = _split(records)
+    assert k == 4
+    assert retained == [records[1], records[3], records[4]]
+    assert survivors == [records[0], records[2], records[5]]
+    assert _partition(k, retained, survivors) == ElitismPartition(3, 2, 1, 2, 4, 6)
+    # every record at the best level: no survivors, so beta1 = beta_minus1 = 0
+    k, retained, survivors = _split(records[1::3] + [records[3]])
+    assert (k, survivors) == (4, [])
+    assert retained == [records[1], records[4], records[3]]
+    assert _partition(k, retained, survivors) == ElitismPartition(3, 0, 0, 2, 4, 6)
 
 
 @pytest.mark.parametrize(
