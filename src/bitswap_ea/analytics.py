@@ -436,24 +436,3 @@ def refined_runtime_bound(params: BoundParams) -> RuntimeBound:
     gens = 2 * params.delta * mu**3 / params.lam * inner
     asym = 2 * params.delta * mu * mu * n * math.log(n - 3) / params.lam
     return RuntimeBound("refined", params, 3, n - 1, inner, gens, asym, params.label)
-
-
-def bound_sweep(params_list: list[BoundParams]) -> list[dict]:
-    """Rows of exact-vs-asymptotic bound values for CSV export."""
-    rows = []
-    for params in params_list:
-        for bound in (simple_runtime_bound(params), refined_runtime_bound(params)):
-            rows.append(
-                {
-                    "n": params.n,
-                    "mu": params.mu,
-                    "lambda": params.lam,
-                    "delta": params.delta,
-                    "kind": bound.kind,
-                    "k_range": f"{bound.k_lo}..{bound.k_hi}",
-                    "exact_sum": bound.generations,
-                    "asymptotic_value": bound.asymptotic_generations,
-                    "ratio": bound.ratio,
-                }
-            )
-    return rows

@@ -5,20 +5,20 @@ any failing check."""
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import json
 import os
 import sys
 
 from .engine import EngineConfig, run
-from .fitness import FitnessSpec
+from .fitness import ONEMAX, PLATEAU, FitnessSpec
 from .genome import make_rng
 from .harness import (
     ExperimentConfig,
+    _write_stamped,
     check_workers,
     ensure_out_dir,
     fit_from_summary,
+    provenance_hash,
     read_summary_csv,
     run_sweep,
     summarize,
@@ -31,19 +31,8 @@ from .oracle import plateau_comparison, probe_region
 from .verify import bound_checks, probability_checks
 
 
-def _args_hash(parts: dict) -> str:
-    canon = json.dumps(parts, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
-
-
-def _fitness_from_flags(n: int, gamma: int | None) -> FitnessSpec:
-    if gamma is None or gamma == 1:
-        return FitnessSpec.onemax(n) if gamma is None else FitnessSpec.plateau(n, 1)
-    return FitnessSpec.plateau(n, gamma)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _fitness_from_flags(args.n, args.gamma)
+    spec = FitnessSpec.of(ONEMAX if args.gamma is None else PLATEAU, args.n, args.gamma)
     cfg = EngineConfig(spec=spec, mu=args.mu, lam=args.lam,
                        generation_cap=args.generation_cap)
     rec = run(cfg, args.seed)
@@ -53,9 +42,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"best_fitness={last.k} best_aux={last.best_aux} alpha={last.alpha}")
     if args.out:
         ensure_out_dir(args.out)
-        h = _args_hash({"cmd": "run", "n": args.n, "mu": args.mu, "lambda": args.lam,
-                        "gamma": args.gamma, "seed": args.seed,
-                        "generation_cap": args.generation_cap})
+        h = provenance_hash({"cmd": "run", "n": args.n, "mu": args.mu, "lambda": args.lam,
+                             "gamma": args.gamma, "seed": args.seed,
+                             "generation_cap": args.generation_cap})
         path = os.path.join(args.out, f"trace_n{args.n}_mu{args.mu}_lam{args.lam}_seed{args.seed}.csv")
         write_trace_csv(path, rec, h)
         print(f"trace written to {path}")
@@ -97,14 +86,11 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
 def _cmd_probe(args: argparse.Namespace) -> int:
     ensure_out_dir(args.out)
     results = probe_region()
-    h = _args_hash({"cmd": "probe", "grid": "default"})
+    h = provenance_hash({"cmd": "probe", "grid": "default"})
     path = os.path.join(args.out, "probe_region.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={h}\n")
-        w = csv.writer(fh)
-        w.writerow(["p_sel", "phi", "lambda", "m", "p_e", "p_e_star", "holds"])
-        for r in results:
-            w.writerow([r.p_sel, r.phi, r.lam, r.m, r.p_e, r.p_e_star, int(r.holds)])
+    _write_stamped(path, h, ["p_sel", "phi", "lambda", "m", "p_e", "p_e_star", "holds"],
+                   ([r.p_sel, r.phi, r.lam, r.m, r.p_e, r.p_e_star, int(r.holds)]
+                    for r in results))
     holding = sum(r.holds for r in results)
     print(f"{holding}/{len(results)} grid points satisfy p_e_star >= p_e -> {path}")
     ref = next(r for r in results if r.lam == 10 and r.m == 5 and r.p_sel == 0.1 and r.phi == 0.2)
@@ -120,18 +106,15 @@ def _cmd_compare_plateau(args: argparse.Namespace) -> int:
     print(f"ordering_holds={res.ordering_holds} (p_f2 <= p_f1)")
     if args.out:
         ensure_out_dir(args.out)
-        h = _args_hash({"cmd": "compare-plateau", "n": args.n, "gamma": args.gamma,
-                        "mu": args.mu, "lambda": args.lam, "trials": args.trials,
-                        "seed": args.seed})
+        h = provenance_hash({"cmd": "compare-plateau", "n": args.n, "gamma": args.gamma,
+                             "mu": args.mu, "lambda": args.lam, "trials": args.trials,
+                             "seed": args.seed})
         path = os.path.join(args.out, "plateau_comparison.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# config_hash={h}\n")
-            w = csv.writer(fh)
-            w.writerow(["n", "gamma", "mu", "lambda", "trials",
-                        "p_f1", "se_f1", "p_f2", "se_f2", "ordering_holds"])
-            w.writerow([args.n, args.gamma, args.mu, args.lam, args.trials,
-                        res.p_f1, res.se_f1, res.p_f2, res.se_f2,
-                        int(res.ordering_holds)])
+        _write_stamped(path, h, ["n", "gamma", "mu", "lambda", "trials",
+                                 "p_f1", "se_f1", "p_f2", "se_f2", "ordering_holds"],
+                       [[args.n, args.gamma, args.mu, args.lam, args.trials,
+                         res.p_f1, res.se_f1, res.p_f2, res.se_f2,
+                         int(res.ordering_holds)]])
         print(f"written to {path}")
     return 0
 

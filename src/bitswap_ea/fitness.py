@@ -40,6 +40,16 @@ class FitnessSpec:
             raise ValueError(f"unknown fitness kind {self.kind!r}")
 
     @classmethod
+    def of(cls, kind: str, n: int, gamma: int | None = None) -> "FitnessSpec":
+        """The spec a config or command line names. OneMax takes no bin width
+        or the degenerate 1; the plateau function without one has width 1."""
+        if kind == ONEMAX and gamma == 1:
+            gamma = None
+        elif kind == PLATEAU and gamma is None:
+            gamma = 1
+        return cls(kind, n, gamma)
+
+    @classmethod
     def onemax(cls, n: int) -> "FitnessSpec":
         return cls(ONEMAX, n)
 

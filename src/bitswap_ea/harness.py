@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import EngineConfig, RunRecord, run
-from .fitness import KINDS, FitnessSpec
+from .fitness import FitnessSpec
 from .genome import mix_seed
 
 _CONFIG_KEYS = {
@@ -35,6 +35,13 @@ _CONFIG_KEYS = {
     "generation_cap": "cap override, null for the default policy",
     "out_dir": "directory for emitted CSVs",
 }
+
+
+def provenance_hash(parts: dict) -> str:
+    """The stamp on every emitted file: the first 12 hex digits of the
+    SHA-256 of ``parts`` as canonical JSON."""
+    canon = json.dumps(parts, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
 def _as_tuple(value) -> tuple:
@@ -79,13 +86,11 @@ class ExperimentConfig:
                 object.__setattr__(self, attr, _whole(attr, value))
         if self.seed_count < 1:
             raise ValueError(f"seed_count must be >= 1, got {self.seed_count}")
-        if self.fitness not in KINDS:
-            raise ValueError(f"unknown fitness kind {self.fitness!r}")
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         for n, mu, lam in self.cells():
-            # raises on bad n/gamma combinations, mu < 2, odd or small lambda
-            # and a negative generation cap
+            # raises on an unknown fitness kind, bad n/gamma combinations,
+            # mu < 2, odd or small lambda and a negative generation cap
             EngineConfig(self.fitness_spec(n), mu, lam, self.generation_cap)
 
     @classmethod
@@ -134,15 +139,10 @@ class ExperimentConfig:
 
     @property
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:12]
+        return provenance_hash(self.to_dict())
 
     def fitness_spec(self, n: int) -> FitnessSpec:
-        if self.fitness == "onemax":
-            if self.gamma is not None and self.gamma != 1:
-                raise ValueError("gamma is only meaningful for plateau fitness")
-            return FitnessSpec.onemax(n)
-        return FitnessSpec.plateau(n, self.gamma if self.gamma is not None else 1)
+        return FitnessSpec.of(self.fitness, n, self.gamma)
 
     def cells(self) -> list[tuple[int, int, int]]:
         return [
@@ -232,10 +232,16 @@ def ensure_out_dir(path: str) -> None:
         raise PermissionError(f"output directory {path!r} is not writable")
 
 
-def _open_stamped(path: str, config_hash: str):
-    fh = open(path, "w", newline="", encoding="utf-8")
-    fh.write(f"# config_hash={config_hash}\n")
-    return fh
+def _write_stamped(path: str, config_hash: str, header, rows, **dialect) -> None:
+    """The one writer of emitted files: the ``# config_hash=`` line, then the
+    header row if there is one, then ``rows`` through ``csv.writer``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# config_hash={config_hash}\n")
+        w = csv.writer(fh, **dialect)
+        if header is not None:
+            w.writerow(header)
+        w.writerows(rows)
+
 
 RECORD_COLUMNS = [
     "n", "mu", "lambda", "seed_index", "seed",
@@ -258,43 +264,32 @@ TRACE_COLUMNS = [
 
 
 def write_records_csv(path: str, records: list[RunRecord], config_hash: str) -> None:
-    with _open_stamped(path, config_hash) as fh:
-        w = csv.writer(fh)
-        w.writerow(RECORD_COLUMNS)
-        index: dict[tuple[int, int, int], int] = {}
-        for rec in records:
-            cell = (rec.spec.n, rec.mu, rec.lam)
-            i = index.get(cell, 0)
-            index[cell] = i + 1
-            w.writerow([rec.spec.n, rec.mu, rec.lam, i, rec.seed,
-                        rec.generations, rec.evaluations, rec.terminated])
+    index: dict[tuple[int, int, int], int] = {}
+    rows = []
+    for rec in records:
+        cell = (rec.spec.n, rec.mu, rec.lam)
+        i = index[cell] = index.get(cell, -1) + 1
+        rows.append([*cell, i, rec.seed, rec.generations, rec.evaluations, rec.terminated])
+    _write_stamped(path, config_hash, RECORD_COLUMNS, rows)
 
 
 def write_summary_csv(path: str, rows: list[CellSummary], config_hash: str) -> None:
-    with _open_stamped(path, config_hash) as fh:
-        w = csv.writer(fh)
-        w.writerow(SUMMARY_COLUMNS)
-        for r in rows:
-            w.writerow([r.n, r.mu, r.lam, r.seed_count, r.mean_generations,
-                        r.median_generations, r.std_generations,
-                        r.mean_evaluations, r.cap_hits, config_hash])
+    _write_stamped(path, config_hash, SUMMARY_COLUMNS, (
+        [r.n, r.mu, r.lam, r.seed_count, r.mean_generations, r.median_generations,
+         r.std_generations, r.mean_evaluations, r.cap_hits, config_hash]
+        for r in rows))
 
 
 def write_trace_csv(path: str, record: RunRecord, config_hash: str) -> None:
-    with _open_stamped(path, config_hash) as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_COLUMNS)
-        for g, p in enumerate(record.trace):
-            w.writerow([g, p.k, p.alpha, p.alpha_star, p.beta1,
-                        p.beta_minus1, p.k, p.best_aux])
+    _write_stamped(path, config_hash, TRACE_COLUMNS, (
+        [g, p.k, p.alpha, p.alpha_star, p.beta1, p.beta_minus1, p.k, p.best_aux]
+        for g, p in enumerate(record.trace)))
 
 
 def write_plot_data(path: str, xs, ys, config_hash: str) -> None:
     """One series per file: two space-separated columns."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        for x, y in zip(xs, ys, strict=True):
-            fh.write(f"{x} {y}\n")
+    _write_stamped(path, config_hash, None, zip(xs, ys, strict=True),
+                   delimiter=" ", lineterminator="\n")
 
 
 # --- scaling fits -----------------------------------------------------------
@@ -317,43 +312,41 @@ class FitResult:
         return self.a * mu * n * math.log(n) + self.b * mu * n
 
 
-def _fit_cells(cells: list[tuple[int, int, float]], unit: str) -> FitResult:
-    ns = {n for n, _, _ in cells}
+def _fit_cells(rows: list[tuple[int, int, int, float, float]], unit: str) -> FitResult:
+    """Fit cell means given as (n, mu, lambda, mean_generations,
+    mean_evaluations). The evaluations unit measures evaluations beyond
+    initialization (the flat mu charge is removed first), which keeps the two
+    units related by exactly the per-generation accounting factor."""
+    if unit not in (UNIT_GENERATIONS, UNIT_EVALUATIONS):
+        raise ValueError(f"unknown unit {unit!r}")
+    ns = {row[0] for row in rows}
     if len(ns) < 3:
         raise ValueError(f"need >= 3 distinct n values, got {sorted(ns)}")
-    design = np.array([[mu * n * math.log(n), mu * n] for n, mu, _ in cells])
-    y = np.array([t for _, _, t in cells])
+    design = np.array([[mu * n * math.log(n), mu * n] for n, mu, *_ in rows])
+    y = np.array([gens if unit == UNIT_GENERATIONS else evals - mu
+                  for _, mu, _, gens, evals in rows])
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     ss_res = float(resid @ resid)
     centered = y - y.mean()
     ss_tot = float(centered @ centered)
     r2 = 1.0 if ss_tot == 0.0 and ss_res <= 1e-18 else 1.0 - ss_res / ss_tot
-    return FitResult(unit, float(coef[0]), float(coef[1]), r2, len(cells))
+    return FitResult(unit, float(coef[0]), float(coef[1]), r2, len(rows))
 
 
 def fit_scaling(records: list[RunRecord], unit: str = UNIT_GENERATIONS) -> FitResult:
-    """Fit cell-mean runtimes. The evaluations unit measures evaluations
-    beyond initialization (the flat mu charge is removed first), which keeps
-    the two units related by exactly the per-generation accounting factor."""
-    if unit not in (UNIT_GENERATIONS, UNIT_EVALUATIONS):
-        raise ValueError(f"unknown unit {unit!r}")
-    groups: dict[tuple[int, int, int], list[float]] = {}
-    for rec in records:
-        val = rec.generations if unit == UNIT_GENERATIONS else rec.evaluations - rec.mu
-        groups.setdefault((rec.spec.n, rec.mu, rec.lam), []).append(float(val))
-    cells = [
-        (n, mu, statistics.fmean(vals)) for (n, mu, _), vals in groups.items()
-    ]
-    return _fit_cells(cells, unit)
+    """Fit the cell means of ``summarize(records)``."""
+    return _fit_cells([(c.n, c.mu, c.lam, c.mean_generations, c.mean_evaluations)
+                       for c in summarize(records)], unit)
 
 
 def read_summary_csv(path: str) -> tuple[str, list[tuple[int, int, int, float, float]]]:
     """The config hash stamped on a summary CSV ("unknown" when it has no
     stamp) and its rows as (n, mu, lambda, mean_generations, mean_evaluations).
 
-    A file that lacks any of these columns, or a row that lacks a value,
-    raises ``ValueError`` naming them.
+    A file that lacks any of these columns, or a row that lacks a value, has
+    a non-numeric one, n < 1 or a non-finite mean, raises ``ValueError``
+    naming the file and the row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         first = fh.readline()
@@ -367,22 +360,23 @@ def read_summary_csv(path: str) -> tuple[str, list[tuple[int, int, int, float, f
         if missing:
             raise ValueError(f"{path} lacks summary columns {missing}")
         rows = []
-        for row in reader:
+        for i, row in enumerate(reader, 1):
             values = [row[c] for c in SUMMARY_INPUT_COLUMNS]
             if None in values:
-                raise ValueError(f"{path}: data row {len(rows) + 1} lacks values")
-            n, mu, lam, gens, evals = values
-            rows.append((int(n), int(mu), int(lam), float(gens), float(evals)))
+                raise ValueError(f"{path}: data row {i} lacks values")
+            try:
+                n, mu, lam = map(int, values[:3])
+                gens, evals = map(float, values[3:])
+            except ValueError as exc:
+                raise ValueError(f"{path}: data row {i}: {exc}") from None
+            if n < 1:
+                raise ValueError(f"{path}: data row {i} has n = {n}, below 1")
+            if not (math.isfinite(gens) and math.isfinite(evals)):
+                raise ValueError(f"{path}: data row {i} has a non-finite mean")
+            rows.append((n, mu, lam, gens, evals))
     return config_hash, rows
 
 
 def fit_from_summary(path: str, unit: str = UNIT_GENERATIONS) -> FitResult:
     """Fit straight from a summary CSV produced by this module."""
-    if unit not in (UNIT_GENERATIONS, UNIT_EVALUATIONS):
-        raise ValueError(f"unknown unit {unit!r}")
-    _, rows = read_summary_csv(path)
-    cells = [
-        (n, mu, gens if unit == UNIT_GENERATIONS else evals - mu)
-        for n, mu, _, gens, evals in rows
-    ]
-    return _fit_cells(cells, unit)
+    return _fit_cells(read_summary_csv(path)[1], unit)

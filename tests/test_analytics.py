@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from bitswap_ea import analytics as an
 from bitswap_ea.analytics import (
     BoundParams,
-    bound_sweep,
     cubic_level_sum,
     cubic_levelsum_coefficients,
     digamma,
@@ -394,25 +393,3 @@ def test_evaluation_figures_are_twice_lambda_times_generations():
         assert bound.ratio == pytest.approx(
             bound.generations / bound.asymptotic_generations
         )
-
-
-def test_bound_sweep_rows():
-    params = [BoundParams(2, 2, 10, 0.5), BoundParams(4, 4, 20, 0.25)]
-    rows = bound_sweep(params)
-    assert len(rows) == 4
-    expected_keys = {
-        "n",
-        "mu",
-        "lambda",
-        "delta",
-        "kind",
-        "k_range",
-        "exact_sum",
-        "asymptotic_value",
-        "ratio",
-    }
-    for row in rows:
-        assert set(row) == expected_keys
-    assert rows[0]["kind"] == "simple"
-    assert rows[1]["kind"] == "refined"
-    assert rows[0]["k_range"] == "2..8"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -284,3 +285,87 @@ def test_summary_readers_name_missing_columns(tmp_path, capsys, command):
     assert err == (f"error: {path} lacks summary columns "
                    "['n', 'mu', 'lambda', 'mean_generations', 'mean_evaluations']\n")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("row,message", [
+    ("16,2,2,nan,166.0", "data row 2 has a non-finite mean"),
+    ("16,2,2,40.5,inf", "data row 2 has a non-finite mean"),
+    ("0,2,2,40.5,166.0", "data row 2 has n = 0, below 1"),
+    ("sixteen,2,2,40.5,166.0",
+     "data row 2: invalid literal for int() with base 10: 'sixteen'"),
+], ids=["nan-mean", "inf-mean", "n-zero", "non-numeric-n"])
+@pytest.mark.parametrize("command", [["fit"], ["plot-data", "--out", "OUT"]],
+                         ids=["fit", "plot-data"])
+def test_summary_readers_name_the_bad_row(tmp_path, capsys, command, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("n,mu,lambda,mean_generations,mean_evaluations\n"
+                    f"32,2,2,90.0,362.0\n{row}\n64,2,2,200.0,802.0\n")
+    out_dir = tmp_path / "plots"
+    argv = [str(out_dir) if a == "OUT" else a for a in command]
+    rc, out, err = invoke(capsys, argv[0], str(path), *argv[1:])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
+    assert not out_dir.exists()
+
+
+# --- pinned output bytes ------------------------------------------------------
+
+# (stamp, SHA-256) of every kind of emitted file; a change here changes a
+# published output or the provenance hash that names it
+PINNED_OUTPUTS = {
+    "sweep/records.csv": (
+        "# config_hash=ff18029ddef4",
+        "aca1a865ff96f458bf05483dcd3ea3f252927c23e90049c64365c76b6f751f2d"),
+    "sweep/summary.csv": (
+        "# config_hash=ff18029ddef4",
+        "e061df7f5a8b82daf3a88dce41d9dcd6c2545287eab872ee9399566d19ddddb3"),
+    "onemax/trace_n16_mu2_lam2_seed3.csv": (
+        "# config_hash=192204ae1bcd",
+        "b74e93f717be65d6b3e672898e27397080df2f0b6387a6ddc86a52e15169cf0c"),
+    "gamma1/trace_n12_mu4_lam4_seed1.csv": (
+        "# config_hash=f890663f4a70",
+        "34265445fd4f4b3bb74e725fe3444d92cb9589847211a6da5dbc8b75d179de5f"),
+    "gamma3/trace_n12_mu4_lam4_seed1.csv": (
+        "# config_hash=77bfd8b5b302",
+        "e822c42954f63d84df0c957ba3fd6f4bb1ce68a3597d1c36772fb5668b6f5fbc"),
+    "cap7/trace_n16_mu2_lam2_seed3.csv": (
+        "# config_hash=483324161ad6",
+        "b26a612ce81c5f7f2c5fd003ddf8d8d50216d547088f32693b338112ede90051"),
+    "probe/probe_region.csv": (
+        "# config_hash=00d9af69aef7",
+        "a80eafd3216548e650b7f5df6563758ee906c7c24010fbbdfbfcdbd45a6d1ba9"),
+    "plateau/plateau_comparison.csv": (
+        "# config_hash=919caa333e4d",
+        "f5336a022a81bffaca2c99909ff52fa482d492e29790c3120d68f3d53f66440c"),
+    "plots/generations_mu2_lam2.dat": (
+        "# config_hash=ff18029ddef4",
+        "e1332d4281f315811b45ef33fa68c0325db4bb5f6aa7932d5d63b7b2784568df"),
+    "plots/evaluations_mu2_lam2.dat": (
+        "# config_hash=ff18029ddef4",
+        "6b95aae0f830038ebb26507553333d141391945014df0912dc3abce21a6776a5"),
+}
+
+
+def test_emitted_files_keep_their_bytes(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    assert ExperimentConfig.from_json(str(cfg_path)).config_hash == "ff18029ddef4"
+    out = {name: str(tmp_path / name) for name in
+           ("sweep", "onemax", "gamma1", "gamma3", "cap7", "probe", "plateau", "plots")}
+    run = ("run", "--n", "12", "--mu", "4", "--lambda", "4", "--seed", "1")
+    for argv in [
+        ("sweep", "--config", str(cfg_path), "--out", out["sweep"]),
+        ("run", "--n", "16", "--seed", "3", "--out", out["onemax"]),
+        (*run, "--gamma", "1", "--out", out["gamma1"]),
+        (*run, "--gamma", "3", "--out", out["gamma3"]),
+        ("run", "--n", "16", "--seed", "3", "--generation-cap", "7", "--out", out["cap7"]),
+        ("probe-appendix-a", "--out", out["probe"]),
+        ("compare-plateau", "--trials", "2000", "--seed", "5", "--out", out["plateau"]),
+        ("plot-data", str(tmp_path / "sweep" / "summary.csv"), "--out", out["plots"]),
+    ]:
+        assert invoke(capsys, *argv)[0] == 0
+    emitted = {}
+    for name in PINNED_OUTPUTS:
+        data = (tmp_path / name).read_bytes()
+        emitted[name] = (data.split(b"\n", 1)[0].decode(), hashlib.sha256(data).hexdigest())
+    assert emitted == PINNED_OUTPUTS

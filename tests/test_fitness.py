@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bitswap_ea.fitness import FitnessSpec, evaluate, is_optimum, make_individual
+from bitswap_ea.fitness import (
+    ONEMAX,
+    PLATEAU,
+    FitnessSpec,
+    evaluate,
+    is_optimum,
+    make_individual,
+)
 from bitswap_ea.genome import Genome, make_rng, random_genome
 
 
@@ -52,6 +59,25 @@ def test_spec_validation():
         FitnessSpec.onemax(0)
     with pytest.raises(ValueError):
         FitnessSpec(kind="minimize_zeros", n=8)
+
+
+@pytest.mark.parametrize("kind, gamma, expected", [
+    (ONEMAX, None, FitnessSpec.onemax(12)),
+    (PLATEAU, 1, FitnessSpec.plateau(12, 1)),
+    (PLATEAU, 3, FitnessSpec.plateau(12, 3)),
+    (ONEMAX, 1, FitnessSpec.onemax(12)),
+    (ONEMAX, 3, None),
+    (PLATEAU, None, FitnessSpec.plateau(12, 1)),
+], ids=["run-no-gamma", "run-gamma1", "run-gamma3", "config-onemax-gamma1",
+        "config-onemax-gamma3", "config-plateau-no-gamma"])
+def test_spec_of_covers_flags_and_configs(kind, gamma, expected):
+    # `run` passes PLATEAU exactly when --gamma is given, so --gamma 1 is
+    # plateau(n, 1); a config passes its fitness and gamma keys as they are
+    if expected is None:
+        with pytest.raises(ValueError, match="gamma is only meaningful"):
+            FitnessSpec.of(kind, 12, gamma)
+    else:
+        assert FitnessSpec.of(kind, 12, gamma) == expected
 
 
 def test_bin_count_and_max_fitness():

@@ -358,13 +358,14 @@ def test_fit_requires_three_lengths():
 
 
 def test_fit_from_summary_matches_direct_fit(tmp_path, small_records):
+    # both fits read the same cell means, and the CSV round-trips floats
     path = tmp_path / "summary.csv"
     write_summary_csv(str(path), summarize(small_records), SMALL.config_hash)
-    direct = fit_scaling(small_records)
-    from_csv = fit_from_summary(str(path))
-    assert from_csv.a == pytest.approx(direct.a, rel=1e-12)
-    assert from_csv.b == pytest.approx(direct.b, rel=1e-12)
-    assert from_csv.r_squared == pytest.approx(direct.r_squared, rel=1e-9)
+    for unit in ("generations", UNIT_EVALUATIONS):
+        direct = fit_scaling(small_records, unit)
+        from_csv = fit_from_summary(str(path), unit)
+        assert (from_csv.a, from_csv.b, from_csv.r_squared, from_csv.cell_count) == (
+            direct.a, direct.b, direct.r_squared, direct.cell_count)
 
 
 def test_read_summary_csv_rejects_a_row_without_values(tmp_path):

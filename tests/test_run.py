@@ -66,8 +66,15 @@ def reference_run(config: EngineConfig, seed: int, record_trace: bool = True) ->
          "onemax-cap5", "onemax-untraced"],
 )
 def test_run_equals_the_public_step_seed_for_seed(config, record_trace, seeds):
+    # seed 34 of plateau16g4-8-6 falls into the absorbing all-zero population
+    trapped = {34} if config == EngineConfig(FitnessSpec.plateau(16, 4), 8, 6) else set()
     for seed in seeds:
-        assert run(config, seed, record_trace) == reference_run(config, seed, record_trace)
+        record = run(config, seed, record_trace)
+        if config.generation_cap is None:
+            # a defect that traps runs fails here, before the slow reference
+            # replays the whole generation cap
+            assert (record.terminated == TERMINATED_CAP) == (seed in trapped), seed
+        assert record == reference_run(config, seed, record_trace)
 
 
 def test_plateau_shape_splits_the_elite_by_aux():
