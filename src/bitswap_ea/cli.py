@@ -166,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid sweep from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="override the config's out_dir")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)),
+                   help="worker processes (default: the usable CPUs)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify-probabilities",

@@ -287,9 +287,10 @@ def write_trace_csv(path: str, record: RunRecord, config_hash: str) -> None:
 
 
 def write_plot_data(path: str, xs, ys, config_hash: str) -> None:
-    """One series per file: two space-separated columns."""
-    _write_stamped(path, config_hash, None, zip(xs, ys, strict=True),
-                   delimiter=" ", lineterminator="\n")
+    """One series per file: two space-separated columns. Columns of unequal
+    length raise ``ValueError`` before the file is opened."""
+    rows = list(zip(xs, ys, strict=True))
+    _write_stamped(path, config_hash, None, rows, delimiter=" ", lineterminator="\n")
 
 
 # --- scaling fits -----------------------------------------------------------
@@ -345,8 +346,9 @@ def read_summary_csv(path: str) -> tuple[str, list[tuple[int, int, int, float, f
     stamp) and its rows as (n, mu, lambda, mean_generations, mean_evaluations).
 
     A file that lacks any of these columns, or a row that lacks a value, has
-    a non-numeric one, n < 1 or a non-finite mean, raises ``ValueError``
-    naming the file and the row.
+    a non-numeric one, n < 1, mu < 2, lambda odd or below 2 (no run has such
+    a cell) or a non-finite mean, raises ``ValueError`` naming the file and
+    the row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         first = fh.readline()
@@ -371,6 +373,11 @@ def read_summary_csv(path: str) -> tuple[str, list[tuple[int, int, int, float, f
                 raise ValueError(f"{path}: data row {i}: {exc}") from None
             if n < 1:
                 raise ValueError(f"{path}: data row {i} has n = {n}, below 1")
+            if mu < 2:
+                raise ValueError(f"{path}: data row {i} has mu = {mu}, below 2")
+            if lam < 2 or lam % 2 != 0:
+                raise ValueError(f"{path}: data row {i} has lambda = {lam}, "
+                                 "not even and >= 2")
             if not (math.isfinite(gens) and math.isfinite(evals)):
                 raise ValueError(f"{path}: data row {i} has a non-finite mean")
             rows.append((n, mu, lam, gens, evals))

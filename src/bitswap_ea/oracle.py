@@ -1,6 +1,11 @@
 """Ground truth: exact one-generation enumeration, Monte-Carlo checks,
 the selection-inequality probe, and the plateau comparison experiment.
 
+The enumeration groups each member's swap positions into classes (the bit
+there and what the two possible children score), tallies integer weights
+over class pairs, convolves and folds them in integers, and makes one
+``Fraction`` per elite count at the end.
+
 The enumerator and the engine share one probability model: with-replacement
 tournament draws, fair-coin ties, independent uniform swap positions, and the
 elitist replace rule. Agreement tests are meaningless otherwise.
@@ -21,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .engine import classify_partition, one_generation_blocks
-from .fitness import FitnessSpec, evaluate, make_individual
+from .fitness import FitnessSpec, evaluate_word, make_individual
 from .genome import Genome, Population, RandomSource
 
 ENUM_MAX_MU = 6
@@ -115,85 +120,91 @@ def exact_generation_success(spec: PopulationSpec, lam: int) -> ExactGenerationR
     k = max(ind.fitness for ind in members)
     alpha = sum(1 for ind in members if ind.fitness == k)
 
-    # Slot winner law: both draws uniform with replacement, ties split evenly.
-    win = [Fraction(0)] * mu
-    unit = Fraction(1, mu * mu)
+    # Slot winner law in units of 1/(2 mu^2): both draws uniform with
+    # replacement, a strict win adds 2 and a tie adds 1 to each side.
+    win = [0] * mu
     for i in range(mu):
         for j in range(mu):
             fi, fj = members[i].fitness, members[j].fitness
             if fi > fj:
-                win[i] += unit
+                win[i] += 2
             elif fj > fi:
-                win[j] += unit
+                win[j] += 2
             else:
-                win[i] += unit / 2
-                win[j] += unit / 2
+                win[i] += 1
+                win[j] += 1
 
     # A swap sets position a of one parent to the other parent's bit at b.
-    # Each (member, position, bit value) child is evaluated once, and kept
-    # as its (above k, at k) indicators.
-    def indicators(g: Genome) -> tuple[bool, bool]:
-        f = evaluate(spec.fitness, g)[0]
+    # Positions of a member fall into classes by (bit at a, the (above k,
+    # at k) indicators of the child with a set to 0, the same with a set to
+    # 1); each member keeps a count per class, in order of first position,
+    # so the laws below meet their keys in the order a scan over position
+    # pairs would, and the elite count distribution keeps that key order.
+    def indicators(word: int) -> tuple[bool, bool]:
+        f = evaluate_word(spec.fitness, word)[0]
         return f > k, f == k
 
-    bits = [ind.genome.bits() for ind in members]
-    child = [
-        [[indicators(ind.genome.with_bit(a, v)) for v in (0, 1)] for a in range(n)]
-        for ind in members
-    ]
+    classes = []
+    for ind in members:
+        word = ind.genome.word
+        tally: dict[tuple, int] = {}
+        for a in range(n):
+            bit = 1 << (n - 1 - a)
+            key = (word & bit != 0, (indicators(word & ~bit), indicators(word | bit)))
+            tally[key] = tally.get(key, 0) + 1
+        classes.append(tally)
 
-    # One pair's joint law of offspring one level above k (h) and at k (e).
-    # Pairs are iid given the fixed parent population, so one law covers all.
-    # Every (a, b) of a parent pair (i, j) has the same weight, so the keys
-    # are tallied as integers and weighted once.
-    pair_law: dict[tuple[int, int], Fraction] = {}
-    pos_unit = Fraction(1, n * n)
+    # One pair's joint law of offspring one level above k (h) and at k (e),
+    # in units of 1/D with D = (2 mu^2 n)^2. Pairs are iid given the fixed
+    # parent population, so one law covers all. A class pair stands for
+    # c_i * c_j position pairs of the same key and weight.
+    pair_law: dict[tuple[int, int], int] = {}
     for i in range(mu):
         if win[i] == 0:
             continue
         for j in range(mu):
             if win[j] == 0:
                 continue
-            tally: dict[tuple[int, int], int] = {}
-            for a in range(n):
-                v1 = bits[i][a]
-                row = child[i][a]
-                for b in range(n):
-                    h1, e1 = row[bits[j][b]]
-                    h2, e2 = child[j][b][v1]
+            wij = win[i] * win[j]
+            for (v1, row_i), c_i in classes[i].items():
+                for (v2, row_j), c_j in classes[j].items():
+                    h1, e1 = row_i[v2]
+                    h2, e2 = row_j[v1]
                     key = (h1 + h2, e1 + e2)
-                    tally[key] = tally.get(key, 0) + 1
-            w = win[i] * win[j] * pos_unit
-            for key, count in tally.items():
-                pair_law[key] = pair_law.get(key, Fraction(0)) + w * count
+                    pair_law[key] = pair_law.get(key, 0) + wij * c_i * c_j
 
-    he_law: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
+    # The lambda/2 pairs' law, in units of 1/whole.
+    whole = ((2 * mu * mu * n) ** 2) ** (lam // 2)
+    he_law: dict[tuple[int, int], int] = {(0, 0): 1}
     for _ in range(lam // 2):
-        nxt: dict[tuple[int, int], Fraction] = {}
+        nxt: dict[tuple[int, int], int] = {}
         for (hh, ee), p in he_law.items():
             for (dh, de), q in pair_law.items():
                 key = (hh + dh, ee + de)
-                nxt[key] = nxt.get(key, Fraction(0)) + p * q
+                nxt[key] = nxt.get(key, 0) + p * q
         he_law = nxt
 
-    # Fold through replace. Without overflow every qualifying offspring
-    # enters; with overflow a uniform mu-subset of the combined elite pool
-    # survives, so the above-level survivor count is hypergeometric.
-    dist: dict[int, Fraction] = {}
+    # Fold through replace, in units of 1/(whole * scale), where scale is a
+    # multiple of every C(pool, mu). Without overflow every qualifying
+    # offspring enters; with overflow a uniform mu-subset of the combined
+    # elite pool survives, so the above-level survivor count is
+    # hypergeometric.
+    scale = math.lcm(*(math.comb(pool, mu) for pool in range(mu, alpha + lam + 1)))
+    weights: dict[int, int] = {}
 
-    def add(count: int, p: Fraction) -> None:
-        dist[count] = dist.get(count, Fraction(0)) + p
+    def add(count: int, p: int) -> None:
+        weights[count] = weights.get(count, 0) + p
 
     for (h, e), p in he_law.items():
         if alpha + h + e <= mu:
-            add(h if h >= 1 else e, p)
+            add(h if h >= 1 else e, p * scale)
             continue
-        pool = alpha + e + h
-        total = math.comb(pool, mu)
+        unit = scale // math.comb(alpha + e + h, mu)
         for j in range(max(0, mu - alpha - e), min(h, mu) + 1):
-            pj = Fraction(math.comb(h, j) * math.comb(alpha + e, mu - j), total)
+            pj = math.comb(h, j) * math.comb(alpha + e, mu - j) * unit
             add(j if j >= 1 else mu - alpha, p * pj)
 
+    dist = {c: Fraction(w, whole * scale) for c, w in weights.items()}
     p_one = dist.get(1, Fraction(0))
     p_any = sum((p for c, p in dist.items() if c >= 1), Fraction(0))
     return ExactGenerationResult(alpha, p_one, p_any, dist)

@@ -1,10 +1,11 @@
 import hashlib
 import itertools
 import json
+import os
 
 import pytest
 
-from bitswap_ea.cli import main
+from bitswap_ea.cli import build_parser, main
 from bitswap_ea.harness import ExperimentConfig, run_sweep, summarize, write_summary_csv
 
 
@@ -87,6 +88,20 @@ def test_sweep_writes_records_and_summary(tmp_path, capsys):
     assert summary[0] == f"# config_hash={cfg.config_hash}"
     assert len(records) == 2 + 9
     assert len(summary) == 2 + 3
+
+
+def test_sweep_defaults_to_the_usable_cpus_with_the_same_bytes(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    outputs = {}
+    for name, extra in (("default", ()), ("serial", ("--workers", "1"))):
+        out_dir = tmp_path / name
+        rc, _, _ = invoke(capsys, "sweep", "--config", str(cfg_path),
+                          "--out", str(out_dir), *extra)
+        assert rc == 0
+        outputs[name] = [(out_dir / f).read_bytes() for f in ("records.csv", "summary.csv")]
+    assert build_parser().parse_args(
+        ["sweep", "--config", str(cfg_path)]).workers == len(os.sched_getaffinity(0))
+    assert outputs["default"] == outputs["serial"]
 
 
 def test_sweep_rejects_bad_config(tmp_path, capsys):
@@ -293,7 +308,9 @@ def test_summary_readers_name_missing_columns(tmp_path, capsys, command):
     ("0,2,2,40.5,166.0", "data row 2 has n = 0, below 1"),
     ("sixteen,2,2,40.5,166.0",
      "data row 2: invalid literal for int() with base 10: 'sixteen'"),
-], ids=["nan-mean", "inf-mean", "n-zero", "non-numeric-n"])
+    ("16,0,2,40.5,166.0", "data row 2 has mu = 0, below 2"),
+    ("16,2,3,40.5,166.0", "data row 2 has lambda = 3, not even and >= 2"),
+], ids=["nan-mean", "inf-mean", "n-zero", "non-numeric-n", "mu-zero", "lambda-odd"])
 @pytest.mark.parametrize("command", [["fit"], ["plot-data", "--out", "OUT"]],
                          ids=["fit", "plot-data"])
 def test_summary_readers_name_the_bad_row(tmp_path, capsys, command, row, message):

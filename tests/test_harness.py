@@ -287,6 +287,13 @@ def test_plot_data_format(tmp_path):
         write_plot_data(str(path), [16, 32], [10.5], "abc123def456")
 
 
+def test_plot_data_with_unequal_columns_writes_no_file(tmp_path):
+    path = tmp_path / "series.dat"
+    with pytest.raises(ValueError):
+        write_plot_data(str(path), [16, 32], [10.5], "abc")
+    assert not path.exists()
+
+
 def test_ensure_out_dir(tmp_path, monkeypatch):
     target = tmp_path / "a" / "b"
     ensure_out_dir(str(target))

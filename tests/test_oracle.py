@@ -1,13 +1,18 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bitswap_ea.engine import one_generation
-from bitswap_ea.fitness import FitnessSpec, make_individual
+from bitswap_ea.fitness import FitnessSpec, evaluate, make_individual
 from bitswap_ea.genome import Genome, Population, make_rng
 from bitswap_ea.oracle import (
     DEFAULT_PROBE_GRID,
+    ENUM_MAX_LAM,
+    ENUM_MAX_MU,
+    ENUM_MAX_N,
+    ExactGenerationResult,
     PlateauComparison,
     PopulationSpec,
     exact_generation_success,
@@ -17,7 +22,7 @@ from bitswap_ea.oracle import (
     probe_region,
     representative_probe,
 )
-from bitswap_ea.verify import SMALL_FIXTURES
+from bitswap_ea.verify import MONOTONE_FIXTURES, SMALL_FIXTURES
 
 
 def pop_from(texts, spec):
@@ -122,6 +127,123 @@ def test_enumeration_feasibility_guard():
     long_n = PopulationSpec.from_level_counts(13, 4, 1, 1, 0)
     with pytest.raises(ValueError):
         exact_generation_success(long_n, 2)
+
+
+def reference_exact_generation_success(spec, lam):
+    """The enumeration position pair by position pair, in ``Fraction``s:
+    winner law, every (member, position, bit value) child evaluated as a
+    ``Genome``, the n^2 tally per parent pair, then the convolution over
+    lambda/2 pairs and the fold through replace."""
+    members = spec.to_population().members
+    mu, n = len(members), spec.fitness.n
+    k = max(ind.fitness for ind in members)
+    alpha = sum(1 for ind in members if ind.fitness == k)
+
+    win = [Fraction(0)] * mu
+    unit = Fraction(1, mu * mu)
+    for i in range(mu):
+        for j in range(mu):
+            fi, fj = members[i].fitness, members[j].fitness
+            if fi > fj:
+                win[i] += unit
+            elif fj > fi:
+                win[j] += unit
+            else:
+                win[i] += unit / 2
+                win[j] += unit / 2
+
+    def indicators(g):
+        f = evaluate(spec.fitness, g)[0]
+        return f > k, f == k
+
+    bits = [ind.genome.bits() for ind in members]
+    child = [[[indicators(ind.genome.with_bit(a, v)) for v in (0, 1)] for a in range(n)]
+             for ind in members]
+
+    pair_law = {}
+    for i in range(mu):
+        if win[i] == 0:
+            continue
+        for j in range(mu):
+            if win[j] == 0:
+                continue
+            tally = {}
+            for a in range(n):
+                for b in range(n):
+                    h1, e1 = child[i][a][bits[j][b]]
+                    h2, e2 = child[j][b][bits[i][a]]
+                    key = (h1 + h2, e1 + e2)
+                    tally[key] = tally.get(key, 0) + 1
+            w = win[i] * win[j] * Fraction(1, n * n)
+            for key, count in tally.items():
+                pair_law[key] = pair_law.get(key, Fraction(0)) + w * count
+
+    he_law = {(0, 0): Fraction(1)}
+    for _ in range(lam // 2):
+        nxt = {}
+        for (hh, ee), p in he_law.items():
+            for (dh, de), q in pair_law.items():
+                key = (hh + dh, ee + de)
+                nxt[key] = nxt.get(key, Fraction(0)) + p * q
+        he_law = nxt
+
+    dist = {}
+
+    def add(count, p):
+        dist[count] = dist.get(count, Fraction(0)) + p
+
+    for (h, e), p in he_law.items():
+        if alpha + h + e <= mu:
+            add(h if h >= 1 else e, p)
+            continue
+        total = math.comb(alpha + e + h, mu)
+        for j in range(max(0, mu - alpha - e), min(h, mu) + 1):
+            pj = Fraction(math.comb(h, j) * math.comb(alpha + e, mu - j), total)
+            add(j if j >= 1 else mu - alpha, p * pj)
+
+    p_one = dist.get(1, Fraction(0))
+    p_any = sum((p for c, p in dist.items() if c >= 1), Fraction(0))
+    return ExactGenerationResult(alpha, p_one, p_any, dist)
+
+
+def _random_population(rng, fitness, mu):
+    bits = rng.integers(0, 2, size=(mu, fitness.n))
+    return PopulationSpec.from_strings(["".join(map(str, row)) for row in bits], fitness)
+
+
+def _reference_inputs():
+    """(label, spec, lambda): the small and monotone fixtures, 40 random
+    OneMax and plateau populations, and 12 random populations at the limits."""
+    out = [(label, spec, lam) for label, spec, lam in SMALL_FIXTURES]
+    out += [(f"monotone{i}-lam{lam}", spec, lam)
+            for i, spec in enumerate(MONOTONE_FIXTURES) for lam in (2, 4, 6)]
+    rng = np.random.default_rng(1515)
+    for i in range(40):
+        n = int(rng.integers(2, ENUM_MAX_N + 1))
+        mu = int(rng.integers(2, ENUM_MAX_MU + 1))
+        lam = int(rng.choice([2, 4, 6]))
+        if i % 2:
+            gamma = int(rng.choice([d for d in range(2, n + 1) if n % d == 0]))
+            fitness = FitnessSpec.plateau(n, gamma)
+        else:
+            fitness = FitnessSpec.onemax(n)
+        out.append((f"random{i}-{fitness.kind}", _random_population(rng, fitness, mu), lam))
+    for i in range(12):
+        spec = _random_population(rng, FitnessSpec.onemax(ENUM_MAX_N), ENUM_MAX_MU)
+        out.append((f"limit{i}", spec, ENUM_MAX_LAM))
+    return out
+
+
+REFERENCE_INPUTS = _reference_inputs()
+
+
+@pytest.mark.parametrize("spec,lam", [(spec, lam) for _, spec, lam in REFERENCE_INPUTS],
+                         ids=[label for label, _, _ in REFERENCE_INPUTS])
+def test_enumeration_equals_the_position_pair_reference(spec, lam):
+    got = exact_generation_success(spec, lam)
+    want = reference_exact_generation_success(spec, lam)
+    assert got == want
+    assert list(got.elite_count_distribution) == list(want.elite_count_distribution)
 
 
 # --- Monte-Carlo agreement ---------------------------------------------------
