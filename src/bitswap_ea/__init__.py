@@ -36,7 +36,6 @@ from .engine import (
     init_population,
     one_bit_swap,
     one_generation,
-    one_generation_batch,
     replace,
     run,
     run_rls_baseline,

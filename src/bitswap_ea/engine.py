@@ -20,12 +20,13 @@ and the generator's state after it are those of indexing through
 now gives a different run than it did with per-decision draws, from the same
 law.
 
-``one_generation_batch`` (and ``one_generation_blocks``, which yields the same
-rows block by block) steps one fixed population through many independent
+``one_generation_blocks`` steps one fixed population through many independent
 generations at once, for the Monte-Carlo oracles. Per block of at most
 ``batch_rows(mu, lambda)`` trials it makes one ``rng.integers`` call for the
 block's pools and one ``rng.random`` call for its replacement keys, so its
 stream is its own; the scalar step above stays the reference for the kernel.
+It reads lookup tables built once per call (``_SwapTable``), works one trial
+per column, and yields column-major arrays.
 
 ``run`` holds its population as one list of ``(fitness, aux, word)`` records
 after ``init_population`` and builds no ``Individual`` in its loop. Each
@@ -347,33 +348,38 @@ def one_generation(
 
 @dataclass(frozen=True, slots=True)
 class _SwapTable:
-    """Per-member values of a fixed population, for the batched step.
+    """Lookup tables of a fixed population, built once for the batched step.
 
-    ``flip_fitness[m, p]`` and ``flip_aux[m, p]`` are the values of member
-    ``m`` with bit ``p`` flipped, from ``evaluate``: a swap of two unequal
-    bits flips one bit of each parent.
+    ``fitness`` and ``aux`` hold the members' values. ``winner[code // n]``
+    is ``m*n`` for the member ``m`` that wins a slot's tournament, by
+    ``_winner``'s rule, and ``bits[m*n + p]`` is bit ``p`` of member ``m``.
+    Column ``2*(m*n + p) + s`` of ``children`` holds the (fitness, aux) of
+    member ``m`` with bit ``p`` flipped when ``s`` is 1 and as it is when
+    ``s`` is 0: a swap of two unequal bits flips one bit of each parent.
     """
 
     fitness: np.ndarray
     aux: np.ndarray
+    winner: np.ndarray
     bits: np.ndarray
-    flip_fitness: np.ndarray
-    flip_aux: np.ndarray
+    children: np.ndarray
 
     @classmethod
     def build(cls, pop: Population, spec: FitnessSpec) -> "_SwapTable":
-        bits = [ind.genome.bits() for ind in pop.members]
-        flips = [
-            [evaluate(spec, ind.genome.with_bit(p, 1 - v)) for p, v in enumerate(row)]
-            for ind, row in zip(pop.members, bits)
-        ]
-        flip = np.array(flips, dtype=np.int64)
+        mu, n = pop.mu, spec.n
+        ranks = [(ind.fitness, ind.aux, m) for m, ind in enumerate(pop.members)]
+        # a slot's code // n is (i*mu + j)*2 + coin, as ``decode_slot`` reads it
+        winner = [_winner(ranks, *divmod(q >> 1, mu), q & 1)[2] * n for q in range(2 * mu * mu)]
+        masks = [1 << (n - 1 - p) for p in range(n)]
+        words = [ind.genome.word for ind in pop.members]
+        children = [value for (f, a, _), w in zip(ranks, words) for mask in masks
+                    for value in ((f, a), evaluate_word(spec, w ^ mask))]
+        fitness, aux, _ = np.array(ranks, dtype=np.int64).T
         return cls(
-            fitness=np.array([ind.fitness for ind in pop.members], dtype=np.int64),
-            aux=np.array([ind.aux for ind in pop.members], dtype=np.int64),
-            bits=np.array(bits, dtype=np.int8),
-            flip_fitness=flip[:, :, 0],
-            flip_aux=flip[:, :, 1],
+            fitness, aux,
+            winner=np.array(winner, dtype=np.intp),
+            bits=np.array([w & mask != 0 for w in words for mask in masks]),
+            children=np.array(children, dtype=np.int64).T.copy(),
         )
 
 
@@ -384,18 +390,18 @@ def _batch_offspring(
 
     Row by row this is ``fill_pool`` then ``one_bit_swap``: slot ``t`` is
     paired with slot ``t ^ 1`` and its child is its winner with the winner's
-    swap position set to the partner's bit there.
+    swap position set to the partner's bit there. The results are views of
+    ``(lambda, rows)`` arrays, one trial per column.
     """
-    i, j, coin, pos = decode_slot(codes, len(table.fitness), n)
-    fi, fj = table.fitness[i], table.fitness[j]
-    winner = np.where(fi > fj, i, np.where(fj > fi, j, np.where(coin == 1, j, i)))
-    mine = table.bits[winner, pos]
-    partner = mine.reshape(len(codes), -1, 2)[:, :, ::-1].reshape(mine.shape)
-    swapped = mine != partner
-    return (
-        np.where(swapped, table.flip_fitness[winner, pos], table.fitness[winner]),
-        np.where(swapped, table.flip_aux[winner, pos], table.aux[winner]),
-    )
+    q, pos = np.divmod(codes.T, n, order="C")
+    at = table.winner[q]
+    at += pos
+    mine = table.bits[at]
+    # unequal bits flip the swap position of both winners in a pair
+    pairs = at.reshape(-1, 2, len(codes))
+    pairs *= 2
+    pairs += (mine[0::2] != mine[1::2])[:, None]
+    return table.children[0][at].T, table.children[1][at].T
 
 
 def _batch_replace(
@@ -407,34 +413,42 @@ def _batch_replace(
     above it, class 1 the other offspring, class 2 the other members. With
     iid uniform keys (``keys[:, :mu]`` for the members) the kept set is
     ``replace``'s: all of class 0 or a uniform ``mu``-subset of it, then
-    uniform subsets of class 1 and class 2.
+    uniform subsets of class 1 and class 2. The results are column-major.
     """
-    mu = len(table.fitness)
-    rows = len(keys)
+    mu, rows = len(table.fitness), len(keys)
     best = table.fitness.max()
-    member_class = np.broadcast_to(np.where(table.fitness == best, 0, 2), (rows, mu))
-    entrant_class = np.concatenate([member_class, off_fitness < best], axis=1)
-    keep = np.argpartition(entrant_class + keys, mu - 1, axis=1)[:, :mu]
-    fitness = np.concatenate([np.broadcast_to(table.fitness, (rows, mu)), off_fitness], axis=1)
-    aux = np.concatenate([np.broadcast_to(table.aux, (rows, mu)), off_aux], axis=1)
-    return np.take_along_axis(fitness, keep, 1), np.take_along_axis(aux, keep, 1)
+    # one trial per column: entrant e of trial r sits at e*rows + r
+    ranked = keys.T.copy()
+    ranked[:mu] += np.where(table.fitness == best, 0.0, 2.0)[:, None]
+    ranked[mu:] += off_fitness.T < best
+    flat = np.argpartition(ranked.T, mu - 1, axis=1)[:, :mu].T.copy()
+    flat *= rows
+    flat += np.arange(rows)
+    entrants = np.empty((2, *ranked.shape), dtype=np.int64)
+    entrants[:, :mu] = np.stack([table.fitness, table.aux])[:, :, None]
+    entrants[0, mu:], entrants[1, mu:] = off_fitness.T, off_aux.T
+    fitness, aux = entrants.reshape(2, -1).take(flat, axis=1)
+    return fitness.T, aux.T
 
 
 def batch_rows(mu: int, lam: int) -> int:
-    """Trials per block of ``one_generation_batch`` at this shape."""
+    """Trials per block of ``one_generation_blocks`` at this shape."""
     return max(1, BATCH_ENTRANTS // (mu + lam))
 
 
 def one_generation_blocks(
     pop: Population, spec: FitnessSpec, lam: int, trials: int, rng: RandomSource
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``one_generation_batch``'s rows, yielded block by block.
+    """``trials`` independent ``one_generation`` steps of one fixed population.
 
-    A caller that reduces each block as it comes holds memory flat in
-    ``trials``. Each block of at most ``batch_rows(mu, lam)`` trials makes two
-    generator calls: ``rng.integers(0, mu*mu*2*n, size=(rows, lam))`` for the
-    pools, decoded by ``decode_slot``, and ``rng.random((rows, mu+lam))`` for
-    the replacement keys. The arguments are checked at the first iteration.
+    Yields the next populations' fitness and aux values block by block, as
+    two column-major ``rows x mu`` integer arrays (the order within a row
+    carries no meaning), so a caller that reduces each block as it comes
+    holds memory flat in ``trials``. Each block of at most ``batch_rows(mu,
+    lam)`` trials makes two generator calls: ``rng.integers(0, mu*mu*2*n,
+    size=(rows, lam))`` for the pools, decoded as ``decode_slot`` does, and
+    ``rng.random((rows, mu+lam))`` for the replacement keys. The arguments
+    are checked at the first iteration.
     """
     if lam < 2 or lam % 2 != 0:
         raise ValueError(f"lambda must be even and >= 2, got {lam}")
@@ -448,20 +462,6 @@ def one_generation_blocks(
         codes = rng.integers(0, mu * mu * 2 * n, size=(rows, lam))
         keys = rng.random((rows, mu + lam))
         yield _batch_replace(table, *_batch_offspring(table, codes, n), keys)
-
-
-def one_generation_batch(
-    pop: Population, spec: FitnessSpec, lam: int, trials: int, rng: RandomSource
-) -> tuple[np.ndarray, np.ndarray]:
-    """``trials`` independent ``one_generation`` steps of one fixed population.
-
-    Returns the next populations' fitness and aux values as two
-    ``trials x mu`` integer arrays, row ``t`` from trial ``t``, drawn from the
-    same law as ``one_generation`` (the order within a row carries no
-    meaning). The draws are those of ``one_generation_blocks``.
-    """
-    fitness, aux = zip(*one_generation_blocks(pop, spec, lam, trials, rng))
-    return np.concatenate(fitness), np.concatenate(aux)
 
 
 def init_population(config: EngineConfig, rng: RandomSource) -> Population:

@@ -23,7 +23,7 @@ from bitswap_ea.engine import (
     init_population,
     one_bit_swap,
     one_generation,
-    one_generation_batch,
+    one_generation_blocks,
     replace,
     run,
     run_rls_baseline,
@@ -451,17 +451,22 @@ def test_batch_replace_follows_the_elitist_rule():
             left -= want
 
 
+def _all_rows(pop, spec, lam, trials, rng):
+    fitness, aux = zip(*one_generation_blocks(pop, spec, lam, trials, rng))
+    return np.concatenate(fitness), np.concatenate(aux)
+
+
 def test_batch_blocks_return_every_trial_and_draw_as_one_call():
     spec = FitnessSpec.onemax(6)
     pop = _tied_population(spec, ["110100", "011100", "100000"])
     block = batch_rows(3, 4)
-    fitness, aux = one_generation_batch(pop, spec, 4, block + 1, make_rng(6))
+    fitness, aux = _all_rows(pop, spec, 4, block + 1, make_rng(6))
     assert fitness.shape == aux.shape == (block + 1, 3)
     assert (fitness.max(axis=1) >= 3).all()
     # a block boundary neither drops nor redraws trials
     rng = make_rng(6)
-    head = one_generation_batch(pop, spec, 4, block, rng)
-    tail = one_generation_batch(pop, spec, 4, 1, rng)
+    head = _all_rows(pop, spec, 4, block, rng)
+    tail = _all_rows(pop, spec, 4, 1, rng)
     assert np.array_equal(fitness, np.concatenate([head[0], tail[0]]))
     assert np.array_equal(aux, np.concatenate([head[1], tail[1]]))
 
@@ -482,7 +487,7 @@ def test_batch_rejects_bad_pool_or_trial_count(lam, trials, message):
     spec = FitnessSpec.onemax(4)
     pop = _tied_population(spec, ["1100", "0110"])
     with pytest.raises(ValueError, match=message):
-        one_generation_batch(pop, spec, lam, trials, make_rng(1))
+        next(one_generation_blocks(pop, spec, lam, trials, make_rng(1)))
 
 
 def test_rls_baseline_accounting_and_trace():

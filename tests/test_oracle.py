@@ -309,6 +309,32 @@ def test_monte_carlo_reports_binomial_se():
     assert sum(mc.elite_count_frequencies.values()) == pytest.approx(1.0)
 
 
+# Hit counts of the seeded Monte-Carlo stream at 2 500 trials, one seed per
+# population (3100 + index). At mu + lambda = 8 the trials span three blocks.
+PINNED_TRIALS = 2_500
+PINNED_ELITE_COUNTS = [
+    {0: 1700, 1: 800},
+    {0: 2500},
+    {0: 133, 1: 1271, 2: 829, 3: 267},
+    {0: 232, 1: 1557, 2: 711},
+    {0: 95, 1: 1260, 2: 1145},
+    {0: 56, 1: 1177, 2: 956, 3: 311},
+    {0: 2063, 1: 437},
+    {0: 1389, 1: 957, 2: 154},
+]
+PINNED_POPULATIONS = SMALL_FIXTURES + [
+    ("lam6", PopulationSpec.from_strings(["110100", "011010"], FitnessSpec.onemax(6)), 6),
+]
+
+
+@pytest.mark.parametrize("index", range(len(PINNED_POPULATIONS)))
+def test_monte_carlo_stream_is_pinned(index):
+    label, spec, lam = PINNED_POPULATIONS[index]
+    mc = monte_carlo_success(spec, lam, PINNED_TRIALS, make_rng(3100 + index))
+    counts = {c: round(f * PINNED_TRIALS) for c, f in mc.elite_count_frequencies.items()}
+    assert counts == PINNED_ELITE_COUNTS[index], label
+
+
 # --- selection-count probe ---------------------------------------------------
 
 
@@ -387,6 +413,13 @@ def test_front_gain_is_harder_on_the_plateau():
 def test_single_bit_bins_remove_the_gap():
     res = plateau_comparison(12, 1, 4, 4, 3_000, make_rng(7))
     assert abs(res.p_f1 - res.p_f2) <= 4 * res.combined_se
+
+
+@pytest.mark.parametrize("gamma,seed,front_hits", [(3, 3201, (2424, 1074)),
+                                                   (1, 3202, (2255, 2263))])
+def test_plateau_stream_is_pinned(gamma, seed, front_hits):
+    res = plateau_comparison(12, gamma, 4, 4, PINNED_TRIALS, make_rng(seed))
+    assert (round(res.p_f1 * PINNED_TRIALS), round(res.p_f2 * PINNED_TRIALS)) == front_hits
 
 
 def test_standard_errors_shrink_with_sqrt_trials():

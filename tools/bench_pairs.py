@@ -7,15 +7,20 @@
 example a clean export of the parent commit (``git archive``) and the working
 tree. For each workload and each seed, ``perfbench/run.py --trace 0`` runs once
 in each tree with the same arguments; the side that runs first alternates from
-one pair to the next. ``--workload`` may be repeated.
+one pair to the next. ``--workload`` may be repeated. Each run starts from a
+tree without bytecode: the ``__pycache__`` directories under its ``src/`` and
+``perfbench/`` are removed first, and the child runs with
+``PYTHONDONTWRITEBYTECODE=1``, so a tree that once held caches times its
+imports like a fresh export.
 
 The output holds, per workload and end-to-end metric, each side's median and
 quartiles, the change's wins (pairs in which it is better in the direction
 ``BENCHMARK.json`` gives, ties counting for neither) and the ratio of the
-medians, change over parent; every run's JSON result with its seed, side and
-the checks it reported failed; and the host's CPU count with the Python and
-numpy versions. The file is rewritten after every run, so an interrupted
-session keeps the pairs it finished.
+medians, change over parent; every run's JSON result with its seed, side, the
+checks it reported failed and the number of ``__pycache__`` directories removed
+before it; and the host's CPU count with the Python and numpy versions. The
+file is rewritten after every run, so an interrupted session keeps the pairs
+it finished.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -43,15 +49,31 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def clear_bytecode(tree: str) -> int:
+    """Remove the ``__pycache__`` directories under the tree's ``src/`` and
+    ``perfbench/``; return how many there were."""
+    removed = 0
+    for top in ("src", "perfbench"):
+        for dirpath, dirnames, _ in os.walk(os.path.join(tree, top)):
+            if "__pycache__" in dirnames:
+                dirnames.remove("__pycache__")
+                shutil.rmtree(os.path.join(dirpath, "__pycache__"))
+                removed += 1
+    return removed
+
+
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    removed = clear_bytecode(tree)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     elapsed = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     return {
         "exit_code": proc.returncode,
+        "pycache_removed": removed,
         "elapsed_s": elapsed,
         "result": json.loads(lines[-1]) if proc.returncode == 0 and lines else None,
         "checks_failed": [line for line in proc.stderr.splitlines()
