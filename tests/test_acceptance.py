@@ -14,7 +14,6 @@ from bitswap_ea.analytics import (
     digamma,
     harmonic,
     phi2,
-    phi3,
     phi4,
     quadratic_level_sum,
     trigamma,
@@ -29,7 +28,7 @@ from bitswap_ea.oracle import (
     plateau_comparison,
     representative_probe,
 )
-from bitswap_ea.verify import SMALL_FIXTURES
+from bitswap_ea.verify import SMALL_FIXTURES, probability_checks
 
 # the CPUs this process may use, as perfbench counts them; the records come
 # back in grid order, so no output depends on it
@@ -68,10 +67,10 @@ def rls_runs():
 
 
 def test_criterion_1_formula_identity_suite():
+    # the reference values phi2(2,10), phi3(3,10) and phi4(3,10) live in verify
+    values = next(c for c in probability_checks() if c.name == "swap_probability_values")
+    assert values.passed, values.detail
     start = time.monotonic()
-    assert phi2(2, 10) == 0.18
-    assert phi3(3, 10) == 0.66
-    assert phi4(3, 10) == 0.08
     for n in range(2, 60):
         assert phi2(1, n) == 0.0
         assert phi4(2, n) == 0.0

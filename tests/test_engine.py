@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 
 from bitswap_ea.engine import (
     BATCH_ENTRANTS,
+    INT64_MAX,
     ElitismPartition,
     EngineConfig,
     _batch_offspring,
     _batch_replace,
+    _lemire_draw,
+    _lemire_matches_numpy,
     _SwapTable,
     _uniform_subset,
     batch_rows,
@@ -248,6 +252,80 @@ def test_uniform_subset_draws_as_indexing_through_a_permutation(seed):
                 assert got == items[:k]
             assert items == list(range(100, 100 + m))
             assert rng.bit_generator.state == twin.bit_generator.state
+
+
+# the guard's bounds, and 1, which the walk of n = 1 asks for
+DRAW_BOUNDS = [1, 8, 2**11 - 1, 2**11, 2**11 + 1, 3 * 2**30,
+               2**32 - 1, 2**32, 2**32 + 1, INT64_MAX]
+
+
+def _buffered(seed: int, value: int):
+    """A generator whose next ``next_uint32`` returns ``value``: PCG64 keeps
+    the spare half of a 64-bit output for the next 32-bit draw."""
+    rng = make_rng(seed)
+    rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1, "uinteger": value}
+    return rng
+
+
+def _one_width(rng, width: int):
+    """``rng`` seen through a bit generator that fails any raw draw but
+    ``next_uint{width}``."""
+    real = rng.bit_generator.ctypes
+
+    def only(bits):
+        def next_raw(state):
+            assert bits == width, f"a {bits}-bit raw draw where numpy makes {width}-bit ones"
+            return getattr(real, f"next_uint{bits}")(state)
+        return next_raw
+
+    ctypes = SimpleNamespace(state=real.state, next_uint32=only(32), next_uint64=only(64))
+    return SimpleNamespace(bit_generator=SimpleNamespace(ctypes=ctypes))
+
+
+def test_fast_draw_equals_numpy():
+    # run's pool draw must be numpy's sized call, value for value, and leave
+    # the generator as numpy does. numpy draws 32-bit words up to a bound of
+    # 2**32 and 64-bit ones past it (checked first: a draw that takes 32-bit
+    # words for a larger bound never gets past its rejection loop)
+    for bound in DRAW_BOUNDS[1:]:
+        ours, ref = make_rng(7), make_rng(7)
+        width = 32 if bound <= 2**32 else 64
+        assert _lemire_draw(_one_width(ours, width), bound, 3)() == \
+            ref.integers(0, bound, size=3).tolist()
+        assert ours.bit_generator.state == ref.bit_generator.state
+    assert _lemire_matches_numpy()  # the guard agrees on this numpy
+    buffered = set()
+    for seed in range(200):
+        ours, ref = make_rng(seed), make_rng(seed)
+        for bound in DRAW_BOUNDS:
+            for count in (1, 2, 3, 6):
+                buffered.add(ref.bit_generator.state["has_uint32"])
+                expected = ref.integers(0, bound, size=count).tolist()
+                assert _lemire_draw(ours, bound, count)() == expected, (seed, bound, count)
+                assert ours.bit_generator.state == ref.bit_generator.state, (seed, bound, count)
+                # the engine's other draws in between, on whole 64-bit words
+                # (shuffle, random) and on 32-bit halves (integers)
+                seen = []
+                for rng in (ours, ref):
+                    items = list(range(5))
+                    rng.shuffle(items)
+                    seen.append((items, rng.random(), rng.integers(0, 7, size=3).tolist(),
+                                 rng.integers(0, 5)))
+                assert seen[0] == seen[1]
+    assert buffered == {0, 1}
+    # Lemire's rejection edge, which random draws reach with probability
+    # 2**-32 for odd bounds: a raw draw whose low word (raw * bound mod 2**32)
+    # lands just below, at, or just above the threshold (2**32 - bound) % bound
+    for bound in (2**11 - 1, 2**11 + 1, 3 * 2**30, 2**32 - 1):
+        threshold = (2**32 - bound) % bound
+        step = bound & -bound  # the low words are the multiples of this
+        inverse = pow(bound // step, -1, 2**32 // step)
+        for low in (threshold - step, threshold, threshold + step):
+            raw = (low // step * inverse) % (2**32 // step)
+            assert raw * bound % 2**32 == low
+            ours, ref = _buffered(bound, raw), _buffered(bound, raw)
+            assert _lemire_draw(ours, bound, 3)() == ref.integers(0, bound, size=3).tolist()
+            assert ours.bit_generator.state == ref.bit_generator.state, (bound, low)
 
 
 def test_elitism_partition_is_an_immutable_named_row():

@@ -5,10 +5,15 @@ run that repeated ``one_generation`` calls give. These tests pin that stream.
 """
 
 import math
+import os
 import statistics
+import subprocess
+import sys
 
 import pytest
 
+import bitswap_ea
+from bitswap_ea import engine
 from bitswap_ea.engine import (
     TERMINATED_CAP,
     TERMINATED_OPTIMUM,
@@ -21,9 +26,10 @@ from bitswap_ea.engine import (
     init_population,
     one_generation,
     run,
+    run_rls_baseline,
 )
-from bitswap_ea.fitness import FitnessSpec
-from bitswap_ea.genome import make_rng, mix_seed
+from bitswap_ea.fitness import FitnessSpec, evaluate
+from bitswap_ea.genome import make_rng, mix_seed, random_genome
 
 SEEDS = range(200)
 
@@ -75,6 +81,81 @@ def test_run_equals_the_public_step_seed_for_seed(config, record_trace, seeds):
             # replays the whole generation cap
             assert (record.terminated == TERMINATED_CAP) == (seed in trapped), seed
         assert record == reference_run(config, seed, record_trace)
+
+
+def _refuse(*args):
+    raise AssertionError("the Python draw ran")
+
+
+def test_run_falls_back_to_numpy_when_the_guard_fails(monkeypatch):
+    monkeypatch.setattr(engine, "_lemire_matches_numpy", lambda: False)
+    monkeypatch.setattr(engine, "_lemire_draw", _refuse)
+    for config in (EngineConfig(FitnessSpec.onemax(32), 2, 2),
+                   EngineConfig(FitnessSpec.onemax(12), 3, 6)):
+        for seed in range(50):
+            assert run(config, seed) == reference_run(config, seed)
+    assert run_rls_baseline(60, 3) == reference_rls(60, 3)
+
+
+def test_guard_keeps_a_wrong_draw_out_of_run(monkeypatch):
+    right = engine._lemire_draw
+
+    def wrong(rng, bound, count):
+        draw = right(rng, bound, count)
+        return lambda: [(x + 1) % bound for x in draw()]
+
+    monkeypatch.setattr(engine, "_lemire_draw", wrong)
+    engine._lemire_matches_numpy.cache_clear()
+    try:
+        config = EngineConfig(FitnessSpec.onemax(32), 2, 2)
+        for seed in range(20):
+            assert run(config, seed) == reference_run(config, seed)
+        assert engine._lemire_matches_numpy() is False
+    finally:
+        engine._lemire_matches_numpy.cache_clear()
+
+
+def test_run_draws_large_pools_with_numpy(monkeypatch):
+    monkeypatch.setattr(engine, "_lemire_draw", _refuse)
+    config = EngineConfig(FitnessSpec.onemax(16), 2, engine.LEMIRE_MAX_LAMBDA + 2)
+    for seed in range(20):
+        assert run(config, seed) == reference_run(config, seed)
+
+
+def test_import_runs_no_draw_guard():
+    # the guard runs at the first draw, so it adds nothing to import time
+    src = os.path.dirname(os.path.dirname(bitswap_ea.__file__))
+    code = ("import bitswap_ea, bitswap_ea.cli; from bitswap_ea import engine; "
+            "print(engine._lemire_matches_numpy.cache_info().misses)")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0"]
+
+
+def reference_rls(n: int, seed: int) -> RunRecord:
+    """``run_rls_baseline`` with numpy's scalar draw for each step's position."""
+    spec = FitnessSpec.onemax(n)
+    rng = make_rng(seed)
+    genome = random_genome(n, rng)
+    fitness, aux = evaluate(spec, genome)
+    trace = [ElitismPartition(1, 0, 0, 1, fitness, aux)]
+    cap = engine.default_generation_cap(1, n)
+    while fitness < n and len(trace) <= cap:
+        pos = int(rng.integers(0, n))
+        flipped = genome.with_bit(pos, 1 - genome.bit(pos))
+        new_fitness, new_aux = evaluate(spec, flipped)
+        if new_fitness >= fitness:
+            genome, fitness, aux = flipped, new_fitness, new_aux
+        trace.append(ElitismPartition(1, 0, 0, 1, fitness, aux))
+    steps = len(trace) - 1
+    return RunRecord(seed, spec, 1, 0, steps, steps + 1,
+                     TERMINATED_OPTIMUM if fitness == n else TERMINATED_CAP, trace)
+
+
+@pytest.mark.parametrize("n", [1, 60, 100])
+def test_rls_baseline_equals_a_numpy_walk_seed_for_seed(n):
+    for seed in range(50):
+        assert run_rls_baseline(n, seed) == reference_rls(n, seed)
 
 
 def test_plateau_shape_splits_the_elite_by_aux():

@@ -17,10 +17,11 @@ The output holds, per workload and end-to-end metric, each side's median and
 quartiles, the change's wins (pairs in which it is better in the direction
 ``BENCHMARK.json`` gives, ties counting for neither) and the ratio of the
 medians, change over parent; every run's JSON result with its seed, side, the
-checks it reported failed and the number of ``__pycache__`` directories removed
-before it; and the host's CPU count with the Python and numpy versions. The
-file is rewritten after every run, so an interrupted session keeps the pairs
-it finished.
+checks it reported failed, its number of rounds (the ``round N:`` lines that
+``perfbench/run.py`` prints to stderr, so how many per-round checks the run
+faced) and the number of ``__pycache__`` directories removed before it; and the
+host's CPU count with the Python and numpy versions. The file is rewritten
+after every run, so an interrupted invocation keeps the pairs it finished.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -38,6 +40,9 @@ import time
 import numpy as np
 
 SIDES = ("parent", "change")
+
+# ``perfbench/run.py`` prints one such line per round to stderr
+ROUND_LINE = re.compile(r"round \d+: ")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -78,6 +83,7 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
         "result": json.loads(lines[-1]) if proc.returncode == 0 and lines else None,
         "checks_failed": [line for line in proc.stderr.splitlines()
                           if line.startswith("check failed:")],
+        "rounds": sum(bool(ROUND_LINE.match(line)) for line in proc.stderr.splitlines()),
     }
 
 
@@ -167,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
                     json.dump(report, fh, indent=1)
                 value = (run["result"] or {}).get("metrics", {}).get("norm_generations_per_s", {})
                 print(f"{workload} seed={seed} {side}: exit {run['exit_code']}, "
-                      f"norm_generations_per_s {value.get('value')}, "
+                      f"norm_generations_per_s {value.get('value')}, {run['rounds']} rounds, "
                       f"{len(run['checks_failed'])} checks failed", file=sys.stderr)
     return 0
 
