@@ -14,9 +14,10 @@ this is the same law as one draw per decision. The public step draws with one
 leaving the same generator state, with ``_lemire_draw`` (numpy's Lemire step in
 Python, without the sized call's overhead) when the pool has at most
 ``LEMIRE_MAX_LAMBDA`` slots and the guard ``_lemire_matches_numpy`` passed at
-the process's first draw; otherwise with the sized call. ``replace`` then
+the process's first draw (a pooled sweep runs it before its workers fork);
+otherwise with the sized call. ``replace`` then
 takes a uniform ``k``-subset of ``m`` entrants as the first ``k`` of one
-``rng.shuffle`` of a copy of their list, and draws nothing when ``k`` is 0 or
+``rng.shuffle`` of their list, and draws nothing when ``k`` is 0 or
 ``m``; at most one of its subsets is partial, so a generation makes at most
 two generator calls. numpy runs the same Fisher-Yates pass for
 ``rng.shuffle`` of ``m`` items as for ``rng.permutation(m)``, so the subset
@@ -36,10 +37,11 @@ after ``init_population`` and builds no ``Individual`` in its loop. Each
 decision is one private rule that it shares with the scalar step, which wraps
 its ``Individual``s as ``(fitness, aux, individual)`` records: ``_pool``
 (``decode_slot`` and ``_winner``), ``_swap``, ``fitness.evaluate_word``,
-``_split`` (the best level ``k`` and the members at and below it),
-``_replace`` (the replacement order) and ``_partition``. Its draws take the
-same values from the generator in the same order, so a seed gives the run that
-repeated ``one_generation`` calls would give.
+``_split`` (the best level ``k`` and the members at and below it) and
+``_replace`` (the replacement order); ``classify_partition``'s rule is
+``_scan``. Its draws take the same values from the generator in the same
+order, so a seed gives the run that repeated ``one_generation`` calls would
+give.
 
 ``run`` also knows where the elite ends. ``_replace`` puts the retained members
 first, in population order, then the new elite (offspring at ``k``), and every
@@ -48,6 +50,15 @@ entrant after them is below ``k``. So after a generation that does not raise
 are below it, the lists a scan would build, in the same order; ``run`` slices
 there and scans with ``_split`` only at start-up and after a level gain. The
 stop test is ``k == spec.max_fitness``.
+
+A traced ``run`` builds each trace row from the last one with ``_carry``,
+in work that grows with lambda, not mu: the new elite updates ``best_aux``
+and ``alpha_star``; below ``k`` the offspring that entered and the survivors
+that ``_replace``'s shuffle dropped (it shuffles the survivors' list in
+place, so they are its tail) update the best lower level and ``beta1``. It
+scans with ``_scan`` at start-up, after a level gain, when the elite fills
+the population (after every overflow) and when no survivor is left at the
+best lower level. An untraced ``run`` keeps none of these counts.
 
 Trace rows are ``ElitismPartition`` named tuples. A pickled ``RunRecord``
 carries its trace as one flat tuple of ints, six per row, which the sweep
@@ -70,7 +81,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .fitness import FitnessSpec, evaluate, evaluate_word, make_individual
+from .fitness import FitnessSpec, evaluate_word, make_individual
 from .genome import (
     Genome,
     Individual,
@@ -188,16 +199,61 @@ def _split(records: list[tuple]) -> tuple[int, list[tuple], list[tuple]]:
     return k, retained, survivors
 
 
-def _partition(k: int, retained: list[tuple], survivors: list[tuple]) -> ElitismPartition:
-    """``classify_partition`` from ``_split``'s lists."""
+def _scan(k: int, retained: list[tuple], survivors: list[tuple]) -> tuple[ElitismPartition, int]:
+    """``classify_partition`` from ``_split``'s lists, and the best level
+    below ``k`` (-1 when there are no survivors)."""
     top_aux = list(map(_AUX, retained))
     best_aux = max(top_aux)
     lower = list(map(_FITNESS, survivors))
-    beta1 = lower.count(max(lower)) if lower else 0
-    # positional, in field order: a named tuple builds twice as fast that way
-    return ElitismPartition(
-        len(retained), beta1, len(lower) - beta1, top_aux.count(best_aux), k, best_aux
-    )
+    low = max(lower) if lower else -1
+    beta1 = lower.count(low)
+    return ElitismPartition._make(
+        (len(retained), beta1, len(lower) - beta1, top_aux.count(best_aux), k, best_aux)
+    ), low
+
+
+def _partition(k: int, retained: list[tuple], survivors: list[tuple]) -> ElitismPartition:
+    """``classify_partition`` from ``_split``'s lists."""
+    return _scan(k, retained, survivors)[0]
+
+
+def _carry(
+    row: ElitismPartition, low: int, pop: list[tuple], alpha: int,
+    previous: list[tuple], lam: int,
+) -> tuple[ElitismPartition, int]:
+    """The trace row and best lower level after a generation that did not
+    raise ``k``, from the previous ones and what the generation changed.
+
+    ``pop`` is ``_replace``'s population, its first ``alpha`` members at
+    ``k``, and ``previous`` the survivors it was given, shuffled as it left
+    them. The new elite joined the members at ``k``; below ``k`` the
+    offspring that entered lead ``pop[alpha:]`` and the dropped survivors
+    are the tail of ``previous``. ``alpha`` is below ``mu``, so there was
+    no overflow. Scans, as ``_scan`` does, only when no survivor is left at
+    ``low``.
+    """
+    mu = len(pop)
+    start, beta1, _, alpha_star, k, best_aux = row
+    for _, aux, _ in pop[start:alpha]:
+        if aux > best_aux:
+            best_aux, alpha_star = aux, 1
+        elif aux == best_aux:
+            alpha_star += 1
+    # the slots below ``k`` and the offspring below it: the fewer of them entered
+    space, rest = mu - alpha, lam - alpha + start
+    entered = rest if rest < space else space
+    for fitness, _, _ in previous[space - entered:]:
+        if fitness == low:
+            beta1 -= 1
+    for fitness, _, _ in pop[alpha:alpha + entered]:
+        if fitness > low:
+            low, beta1 = fitness, 1
+        elif fitness == low:
+            beta1 += 1
+    if not beta1:
+        return _scan(k, pop[:alpha], pop[alpha:])
+    row = (alpha, beta1, mu - alpha - beta1, alpha_star, k, best_aux)
+    return ElitismPartition._make(row), low
 
 
 def _records(members) -> list[tuple]:
@@ -367,7 +423,9 @@ def _replace(
     ``k``, ``retained`` and ``survivors`` are ``_split`` of the members. The
     order is retained members, new elite (offspring at or above ``k``), a
     subset of the other offspring, then a subset of the survivors; on overflow
-    it is a uniform ``mu``-subset of retained plus new elite.
+    it is a uniform ``mu``-subset of retained plus new elite. The survivors'
+    subset is drawn as ``_uniform_subset`` draws it, but by shuffling
+    ``survivors`` in place, so the ones it drops are the list's tail.
     """
     mu = len(retained) + len(survivors)
     pop = retained + [o for o in offspring if o[0] >= k]
@@ -375,7 +433,10 @@ def _replace(
         return _uniform_subset(pop, mu, rng)
     rest = [o for o in offspring if o[0] < k]
     pop += _uniform_subset(rest, min(mu - len(pop), len(rest)), rng)
-    pop += _uniform_subset(survivors, mu - len(pop), rng)
+    keep = mu - len(pop)
+    if 0 < keep < len(survivors):
+        rng.shuffle(survivors)
+    pop += survivors[:keep]
     return pop
 
 
@@ -547,10 +608,12 @@ def run(config: EngineConfig, seed: int, record_trace: bool = True) -> RunRecord
     draw = _run_draw(rng, mu * mu * 2 * n, lam)
     trace = []
     generations = 0
+    if record_trace:
+        row, low = _scan(k, retained, survivors)
 
     while True:
         if record_trace:
-            trace.append(_partition(k, retained, survivors))
+            trace.append(row)
         if k == top:
             terminated = TERMINATED_OPTIMUM
             break
@@ -571,10 +634,17 @@ def run(config: EngineConfig, seed: int, record_trace: bool = True) -> RunRecord
         off_fitness = list(map(_FITNESS, offspring))
         if max(off_fitness) > k:
             k, retained, survivors = _split(pop)
+            if record_trace:
+                row, low = _scan(k, retained, survivors)
         else:
             # no level gain: the retained members and the new elite lead
             # ``pop`` and everything after them is below ``k``
             alpha = min(mu, len(retained) + off_fitness.count(k))
+            if record_trace:
+                # a full elite is scanned: after an overflow a shuffle chose
+                # which members at ``k`` stayed
+                row, low = (_carry(row, low, pop, alpha, survivors, lam) if alpha < mu
+                            else _scan(k, pop, []))
             retained, survivors = pop[:alpha], pop[alpha:]
 
     return RunRecord(
@@ -603,8 +673,8 @@ def run_rls_baseline(
     """
     spec = FitnessSpec.onemax(n)
     rng = make_rng(seed)
-    genome = random_genome(n, rng)
-    fitness, aux = evaluate(spec, genome)
+    word = random_genome(n, rng).word
+    fitness, aux = evaluate_word(spec, word)
     cap = generation_cap if generation_cap is not None else default_generation_cap(1, n)
     steps = 0
     trace = []
@@ -614,10 +684,10 @@ def run_rls_baseline(
     draw = _run_draw(rng, n, 1)
     while fitness < n and steps < cap:
         pos, = draw()
-        flipped = genome.with_bit(pos, 1 - genome.bit(pos))
-        new_fitness, new_aux = evaluate(spec, flipped)
+        flipped = word ^ (1 << (n - 1 - pos))
+        new_fitness, new_aux = evaluate_word(spec, flipped)
         if new_fitness >= fitness:
-            genome, fitness, aux = flipped, new_fitness, new_aux
+            word, fitness, aux = flipped, new_fitness, new_aux
         steps += 1
         if record_trace:
             trace.append(ElitismPartition(1, 0, 0, 1, fitness, aux))

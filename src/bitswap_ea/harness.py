@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import EngineConfig, RunRecord, run
+from .engine import EngineConfig, RunRecord, _lemire_matches_numpy, run
 from .fitness import FitnessSpec
 from .genome import mix_seed
 
@@ -173,7 +173,9 @@ def run_sweep(
 
     Each run is one job. With ``workers > 1`` the pool takes the jobs in
     descending expected cost, so the longest runs start first and the short
-    ones fill in behind them; the records come back in grid order.
+    ones fill in behind them; the records come back in grid order. The draw
+    guard runs here before the pool forks, so its workers inherit the
+    verdict instead of each running it.
     """
     check_workers(workers)
     jobs = []
@@ -184,6 +186,7 @@ def run_sweep(
     if workers == 1:
         return [run(*job) for job in jobs]
     order = sorted(range(len(jobs)), key=lambda k: -_expected_cost(jobs[k][0]))
+    _lemire_matches_numpy()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         done = dict(zip(order, pool.map(run, *zip(*(jobs[k] for k in order)))))
     return [done[k] for k in range(len(jobs))]

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from bitswap_ea import engine
 from bitswap_ea.engine import ElitismPartition, RunRecord
 from bitswap_ea.fitness import FitnessSpec
 from bitswap_ea.genome import mix_seed
@@ -183,6 +184,17 @@ def test_parallel_sweep_matches_serial():
         config.cell_seed(n, mu, lam, i)
         for n, mu, lam in config.cells() for i in range(config.seed_count)
     ]
+
+
+def test_pooled_sweep_runs_the_draw_guard_before_its_workers_fork():
+    config = ExperimentConfig(n_values=(16,), mu_values=(2,), lam_values=(2,),
+                              seed_count=4, base_seed=21)
+    engine._lemire_matches_numpy.cache_clear()
+    records = run_sweep(config, workers=2, record_trace=True)
+    # this process never draws in a pooled sweep, so only the guard's own
+    # call before the fork can have filled its cache
+    assert engine._lemire_matches_numpy.cache_info().currsize == 1
+    assert records == run_sweep(config, record_trace=True)
 
 
 @pytest.mark.parametrize("workers", [0, -3])

@@ -63,13 +63,15 @@ def reference_run(config: EngineConfig, seed: int, record_trace: bool = True) ->
         (EngineConfig(FitnessSpec.plateau(12, 3), 4, 4), True, SEEDS),
         (EngineConfig(FitnessSpec.plateau(12, 1), 4, 4), True, SEEDS),
         (EngineConfig(FitnessSpec.plateau(16, 4), 8, 6), True, range(50)),
+        (EngineConfig(FitnessSpec.onemax(128), 32, 2), True, range(8)),
+        (EngineConfig(FitnessSpec.plateau(24, 3), 12, 8), True, SEEDS),
         (EngineConfig(FitnessSpec.plateau(12, 3), 4, 4, generation_cap=5), True, SEEDS),
         (EngineConfig(FitnessSpec.onemax(32), 2, 2, generation_cap=5), True, SEEDS),
         (EngineConfig(FitnessSpec.onemax(32), 2, 2), False, SEEDS),
     ],
     ids=["onemax32-2-2", "onemax12-3-6", "onemax64-16-2", "onemax128-64-2",
-         "plateau12g3-4-4", "plateau12g1-4-4", "plateau16g4-8-6", "plateau-cap5",
-         "onemax-cap5", "onemax-untraced"],
+         "plateau12g3-4-4", "plateau12g1-4-4", "plateau16g4-8-6", "onemax128-32-2",
+         "plateau24g3-12-8", "plateau-cap5", "onemax-cap5", "onemax-untraced"],
 )
 def test_run_equals_the_public_step_seed_for_seed(config, record_trace, seeds):
     # seed 34 of plateau16g4-8-6 falls into the absorbing all-zero population
@@ -154,7 +156,7 @@ def reference_rls(n: int, seed: int) -> RunRecord:
 
 @pytest.mark.parametrize("n", [1, 60, 100])
 def test_rls_baseline_equals_a_numpy_walk_seed_for_seed(n):
-    for seed in range(50):
+    for seed in range(150):
         assert run_rls_baseline(n, seed) == reference_rls(n, seed)
 
 

@@ -15,8 +15,12 @@ imports like a fresh export.
 
 The output holds, per workload and end-to-end metric, each side's median and
 quartiles, the change's wins (pairs in which it is better in the direction
-``BENCHMARK.json`` gives, ties counting for neither) and the ratio of the
-medians, change over parent; every run's JSON result with its seed, side, the
+``BENCHMARK.json`` gives, ties counting for neither), the ratio of the
+medians, change over parent, and two verdicts: ``claim_met``, the change wins
+at least 9 in 10 of the pairs and its median beats the parent's by more than
+the parent's q3 - q1, and ``within_bound``, the change's median is no worse
+than the parent's by more than the metric's ``bound`` in ``BENCHMARK.json``, a
+fraction of the parent's median; every run's JSON result with its seed, side, the
 checks it reported failed, its number of rounds (the ``round N:`` lines that
 ``perfbench/run.py`` prints to stderr, so how many per-round checks the run
 faced) and the number of ``__pycache__`` directories removed before it; and the
@@ -95,9 +99,11 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
 
 
-def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
-    """Per workload and metric: each side's spread, the change's wins and
-    the ratio of medians, over the pairs in which both sides succeeded."""
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per workload and metric: each side's spread, the change's wins, the
+    ratio of medians and the two verdicts, over the pairs in which both
+    sides succeeded. ``metrics`` maps each name to its ``BENCHMARK.json``
+    entry, of which ``better`` and ``bound`` are read."""
     pairs: dict[tuple[str, int], dict[str, dict]] = {}
     for run in runs:
         if run["result"] is not None:
@@ -108,11 +114,13 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
         if not both:
             continue
         table = {}
-        for metric, better in directions.items():
+        for metric, spec in metrics.items():
+            better = spec["better"]
             values = {side: [p[side]["metrics"][metric]["value"] for p in both] for side in SIDES}
             sign = 1 if better == "higher" else -1
             wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
             parent, change = _spread(values["parent"]), _spread(values["change"])
+            gain = sign * (change["median"] - parent["median"])
             table[metric] = {
                 "better": better,
                 "parent": parent,
@@ -120,6 +128,8 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
                 "change_wins": wins,
                 "pairs": len(both),
                 "median_ratio": change["median"] / parent["median"] if parent["median"] else None,
+                "claim_met": 10 * wins >= 9 * len(both) and gain > parent["q3"] - parent["q1"],
+                "within_bound": gain >= -spec["bound"] * abs(parent["median"]),
             }
         table["all_correct"] = {
             side: all(p[side]["correct"] and p[side]["failed"] == 0 for p in both)
@@ -146,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{tree} has no perfbench/run.py")
     with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
-    directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
 
     report = {
         "host": {
@@ -168,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
                 run = run_once(trees[side], workload, seed, args.seconds)
                 run.update(workload=workload, seed=seed, side=side, first=order[0])
                 report["runs"].append(run)
-                report["summary"] = summarize(report["runs"], directions)
+                report["summary"] = summarize(report["runs"], metrics)
                 with open(args.out, "w", encoding="utf-8") as fh:
                     json.dump(report, fh, indent=1)
                 value = (run["result"] or {}).get("metrics", {}).get("norm_generations_per_s", {})
