@@ -49,7 +49,6 @@ from .genome import (
     RandomSource,
     make_rng,
     mix_seed,
-    ones_count,
     random_genome,
 )
 from .harness import (

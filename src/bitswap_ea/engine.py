@@ -212,11 +212,6 @@ def _scan(k: int, retained: list[tuple], survivors: list[tuple]) -> tuple[Elitis
     ), low
 
 
-def _partition(k: int, retained: list[tuple], survivors: list[tuple]) -> ElitismPartition:
-    """``classify_partition`` from ``_split``'s lists."""
-    return _scan(k, retained, survivors)[0]
-
-
 def _carry(
     row: ElitismPartition, low: int, pop: list[tuple], alpha: int,
     previous: list[tuple], lam: int,
@@ -262,7 +257,7 @@ def _records(members) -> list[tuple]:
 
 
 def classify_partition(pop: Population) -> ElitismPartition:
-    return _partition(*_split(_records(pop.members)))
+    return _scan(*_split(_records(pop.members)))[0]
 
 
 def decode_slot(code: int, mu: int, n: int) -> tuple[int, int, int, int]:

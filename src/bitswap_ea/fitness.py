@@ -16,7 +16,6 @@ from .genome import Genome, Individual
 
 ONEMAX = "onemax"
 PLATEAU = "plateau_royal_road"
-KINDS = (ONEMAX, PLATEAU)
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,7 +7,6 @@ the leftmost end, so ``str(genome)`` reads in index order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,49 +51,17 @@ class Genome:
             raise ValueError("packed word out of range for genome length")
 
     @classmethod
-    def from_bits(cls, bits: Sequence[int] | Iterable[int]) -> "Genome":
-        word = 0
-        n = 0
-        for b in bits:
-            word = (word << 1) | (int(b) & 1)
-            n += 1
-        return cls(n, word)
-
-    @classmethod
     def from_string(cls, text: str) -> "Genome":
         if not text or set(text) - {"0", "1"}:
             raise ValueError(f"genome text must be nonempty 0/1 string, got {text!r}")
         return cls(len(text), int(text, 2))
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(f"bit index {i} out of range for n={self.n}")
-        return (self.word >> (self.n - 1 - i)) & 1
-
-    def with_bit(self, i: int, value: int) -> "Genome":
-        if not 0 <= i < self.n:
-            raise IndexError(f"bit index {i} out of range for n={self.n}")
-        mask = 1 << (self.n - 1 - i)
-        word = (self.word | mask) if value & 1 else (self.word & ~mask)
-        return Genome(self.n, word)
-
     @property
     def ones(self) -> int:
         return self.word.bit_count()
 
-    def complement(self) -> "Genome":
-        return Genome(self.n, self.word ^ ((1 << self.n) - 1))
-
-    def bits(self) -> list[int]:
-        return [(self.word >> (self.n - 1 - i)) & 1 for i in range(self.n)]
-
     def __str__(self) -> str:
         return format(self.word, f"0{self.n}b")
-
-
-def ones_count(genome: Genome) -> int:
-    """Number of 1-bits (popcount on the packed word)."""
-    return genome.word.bit_count()
 
 
 def random_genome(n: int, rng: RandomSource) -> Genome:
@@ -127,6 +94,3 @@ class Population:
     @property
     def mu(self) -> int:
         return len(self.members)
-
-    def best_fitness(self) -> int:
-        return max(ind.fitness for ind in self.members)

@@ -183,7 +183,9 @@ def run_sweep(
         engine = EngineConfig(config.fitness_spec(n), mu, lam, config.generation_cap)
         jobs += [(engine, config.cell_seed(n, mu, lam, i), record_trace)
                  for i in range(config.seed_count)]
-    if workers == 1:
+    # the fork start method launches every worker at once, idle or not
+    workers = min(workers, len(jobs))
+    if workers <= 1:
         return [run(*job) for job in jobs]
     order = sorted(range(len(jobs)), key=lambda k: -_expected_cost(jobs[k][0]))
     _lemire_matches_numpy()
@@ -334,7 +336,10 @@ def _fit_cells(rows: list[tuple[int, int, int, float, float]], unit: str) -> Fit
     ss_res = float(resid @ resid)
     centered = y - y.mean()
     ss_tot = float(centered @ centered)
-    r2 = 1.0 if ss_tot == 0.0 and ss_res <= 1e-18 else 1.0 - ss_res / ss_tot
+    if ss_tot == 0.0 and ss_res > 1e-18:
+        raise ValueError(f"r_squared is undefined: all {len(rows)} cell means are "
+                         "equal and the model does not fit them exactly")
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return FitResult(unit, float(coef[0]), float(coef[1]), r2, len(rows))
 
 

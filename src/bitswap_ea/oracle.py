@@ -373,15 +373,10 @@ def plateau_comparison(
     for spec in specs:
         pop = Population(tuple(make_individual(spec, g) for g in genomes))
         part = classify_partition(pop)
-        before = sum(
-            1
-            for ind in pop.members
-            if ind.fitness == part.k and ind.aux == part.best_aux
-        )
         hits = 0
         for fitness, aux in one_generation_blocks(pop, spec, lam, trials, rng):
             front = (fitness > part.k) | ((fitness == part.k) & (aux >= part.best_aux))
-            hits += int((front.sum(axis=1) > before).sum())
+            hits += int((front.sum(axis=1) > part.alpha_star).sum())
         p = hits / trials
         results.append((p, math.sqrt(p * (1 - p) / trials)))
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bitswap_ea import analytics as an
 from bitswap_ea.analytics import (
     BoundParams,
     cubic_level_sum,
@@ -29,22 +28,15 @@ from bitswap_ea.analytics import (
 
 EULER_GAMMA = 0.5772156649015329
 
+# A reference value that a check of bitswap_ea.verify asserts at the same or a
+# tighter tolerance is not restated here; tests/test_cli.py runs every check.
+
 
 # --- pair channels -------------------------------------------------------
 
 
 def test_channel_values_at_reference_points():
     assert phi1(5, 10) == pytest.approx(0.30)
-    assert phi2(2, 10) == pytest.approx(0.18)
-    assert phi3(3, 10) == pytest.approx(0.66)
-    assert phi4(3, 10) == pytest.approx(0.08)
-
-
-def test_channel_boundary_zeros():
-    assert phi2(1, 10) == 0.0
-    assert phi4(2, 10) == 0.0
-    assert phi2(1, 50) == 0.0
-    assert phi4(2, 50) == 0.0
 
 
 def test_channel_domain_errors():
@@ -79,8 +71,6 @@ def test_channels_stay_in_unit_interval(n, data):
 
 def test_event_probs_worked_example():
     ev = event_probs(alpha=1, beta1=1, mu=4, lam=4, k=5, n=10)
-    assert ev.p_e1 == pytest.approx(0.05625)
-    assert ev.p_e2 == pytest.approx(0.03375)
     assert ev.p_e3 == pytest.approx(0.125)
     assert ev.p_e4 == pytest.approx(0.03375)
     assert ev.s == pytest.approx(0.24875)
@@ -128,9 +118,7 @@ def test_event_probs_linear_in_lambda():
 
 
 def test_harmonic_exact_small_values():
-    assert harmonic(0) == 0.0
     assert harmonic(1) == 1.0
-    assert harmonic(4) == pytest.approx(25 / 12)
     assert harmonic(5) == pytest.approx(137 / 60)
     with pytest.raises(ValueError):
         harmonic(-1)
@@ -143,8 +131,6 @@ def test_harmonic_large_branch_matches_expansion():
 
 
 def test_polygamma_reference_values():
-    assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-12)
-    assert trigamma(1.0) == pytest.approx(math.pi**2 / 6, abs=1e-12)
     # -2 * zeta(3)
     assert tetragamma(1.0) == pytest.approx(-2.4041138063191885, abs=1e-12)
     assert digamma(0.5) == pytest.approx(-EULER_GAMMA - 2 * math.log(2), abs=1e-12)
@@ -322,18 +308,6 @@ def test_bound_params_regime_constructors():
         BoundParams.power_law_elite_fraction(16, 4, 100, eps1=1.0)
 
 
-def test_simple_traverse_bound_reference_values():
-    p = BoundParams(4, 4, 10, 0.25)
-    assert simple_traverse_bound(p, 2) == pytest.approx(400 / 9)
-    q = BoundParams(1, 2, 10, 0.25)
-    assert simple_traverse_bound(q, 2) == pytest.approx(25 / 18)
-
-
-def test_refined_traverse_bound_reference_value():
-    p = BoundParams(4, 4, 10, 0.25)
-    assert refined_traverse_bound(p, 3) == pytest.approx(100 / 67)
-
-
 def test_traverse_bound_domains():
     p = BoundParams(4, 4, 10, 0.25)
     with pytest.raises(ValueError):
@@ -356,14 +330,8 @@ def test_refined_traverse_never_exceeds_simple():
 
 def test_simple_runtime_bound_reference_value():
     bound = simple_runtime_bound(BoundParams(2, 2, 6, 0.5))
-    assert bound.generations == pytest.approx(157 / 5)
     assert bound.kind == "simple"
     assert bound.k_lo == 2 and bound.k_hi == 4
-
-
-def test_simple_runtime_asymptote_tightens_with_n():
-    bound = simple_runtime_bound(BoundParams(2, 2, 100, 0.5))
-    assert 0.9 < bound.ratio < 1.1
 
 
 def test_refined_runtime_is_below_simple():

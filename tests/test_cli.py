@@ -160,18 +160,34 @@ def test_unknown_subcommand_exits_via_argparse(capsys):
 # --- verification suites --------------------------------------------------
 
 
+# The tests leave the reference values to these checks, so a check that
+# leaves its suite must fail here rather than silently drop coverage.
+PROBABILITY_CHECKS = """swap_probability_values swap_probability_range
+event_probability_values event_probability_range exact_vs_monte_carlo
+success_monotone_in_pool_size analytic_sign_agreement_at_top_level
+probe_reference_points""".split()
+BOUND_CHECKS = """quadratic_level_sum_values cubic_level_sum_values square_sum_telescopes
+cube_sum_telescopes polygamma_reference_points harmonic_reference_points
+traverse_bound_values simple_runtime_value inner_sum_partial_fractions
+asymptotic_tracks_exact refined_below_simple termwise_envelope_on_validity_region""".split()
+
+
+def passed_checks(out):
+    *lines, total = out.splitlines()
+    assert all(line.startswith("PASS ") for line in lines), out
+    return [line.split()[1].rstrip(":") for line in lines], total
+
+
 def test_verify_probabilities_all_pass(capsys):
     rc, out, _ = invoke(capsys, "verify-probabilities", "--trials", "2000")
     assert rc == 0
-    assert "8/8 checks passed" in out
-    assert "FAIL" not in out
+    assert passed_checks(out) == (PROBABILITY_CHECKS, "8/8 checks passed")
 
 
 def test_verify_bounds_all_pass(capsys):
     rc, out, _ = invoke(capsys, "verify-bounds")
     assert rc == 0
-    assert "12/12 checks passed" in out
-    assert "FAIL" not in out
+    assert passed_checks(out) == (BOUND_CHECKS, "12/12 checks passed")
 
 
 # --- probe ------------------------------------------------------------------
@@ -272,6 +288,24 @@ def test_fit_rejects_underdetermined_summary(tmp_path, capsys):
     rc, _, err = invoke(capsys, "fit", str(path))
     assert rc == 2
     assert "distinct n" in err
+
+
+@pytest.mark.parametrize("unit", ["generations", "evaluations"])
+def test_fit_refuses_equal_nonzero_cell_means(tmp_path, capsys, unit):
+    # no a*mu*n*ln(n) + b*mu*n is constant over three n, and equal means
+    # leave no variance for r_squared to measure against
+    path = tmp_path / "summary.csv"
+    header = "n,mu,lambda,mean_generations,mean_evaluations\n"
+    path.write_text(header + "".join(f"{n},2,2,100.0,402.0\n" for n in (32, 64, 128)))
+    rc, out, err = invoke(capsys, "fit", str(path), "--unit", unit)
+    assert (rc, out) == (2, "")
+    assert err == ("error: r_squared is undefined: all 3 cell means are equal "
+                   "and the model does not fit them exactly\n")
+    # all-zero means are fitted exactly by a = b = 0
+    path.write_text(header + "".join(f"{n},2,2,0.0,2.0\n" for n in (32, 64, 128)))
+    rc, out, _ = invoke(capsys, "fit", str(path), "--unit", unit)
+    assert rc == 0
+    assert "r_squared=1.000000" in out
 
 
 def test_plot_data_emits_series(summary_csv, tmp_path, capsys):

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from bitswap_ea import engine
+from bitswap_ea import engine, harness
 from bitswap_ea.engine import ElitismPartition, RunRecord
 from bitswap_ea.fitness import FitnessSpec
 from bitswap_ea.genome import mix_seed
@@ -195,6 +195,35 @@ def test_pooled_sweep_runs_the_draw_guard_before_its_workers_fork():
     # call before the fork can have filled its cache
     assert engine._lemire_matches_numpy.cache_info().currsize == 1
     assert records == run_sweep(config, record_trace=True)
+
+
+def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """``ProcessPoolExecutor`` that records its size and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    base = dict(n_values=(16,), mu_values=(2,), lam_values=(2,), base_seed=8)
+    three = ExperimentConfig(seed_count=3, **base)
+    assert run_sweep(three, workers=64, record_trace=True) == run_sweep(three, record_trace=True)
+    assert sizes == [3]
+    # one run: no pool at all
+    one = ExperimentConfig(seed_count=1, **base)
+    assert run_sweep(one, workers=64) == run_sweep(one)
+    assert sizes == [3]
 
 
 @pytest.mark.parametrize("workers", [0, -3])

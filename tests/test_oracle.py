@@ -156,9 +156,10 @@ def reference_exact_generation_success(spec, lam):
         f = evaluate(spec.fitness, g)[0]
         return f > k, f == k
 
-    bits = [ind.genome.bits() for ind in members]
-    child = [[[indicators(ind.genome.with_bit(a, v)) for v in (0, 1)] for a in range(n)]
-             for ind in members]
+    texts = [str(ind.genome) for ind in members]
+    bits = [[int(c) for c in t] for t in texts]
+    child = [[[indicators(Genome.from_string(t[:a] + v + t[a + 1:])) for v in "01"]
+              for a in range(n)] for t in texts]
 
     pair_law = {}
     for i in range(mu):
@@ -282,7 +283,7 @@ def test_scalar_engine_matches_enumeration(index, label, spec, lam):
     # scalar step that runs use checked against the exact law as well.
     exact = exact_generation_success(spec, lam)
     pop = spec.to_population()
-    k = pop.best_fitness()
+    k = max(m.fitness for m in pop.members)
     alpha = sum(1 for m in pop.members if m.fitness == k)
     rng = make_rng(31 + index)
     trials = 20_000
@@ -350,13 +351,6 @@ def test_probe_zero_swap_probability_is_degenerate():
     assert res.p_e == 0.0
     assert res.p_e_star == 0.0
     assert res.holds
-
-
-def test_probe_counterexample():
-    res = representative_probe(0.1, 0.2, 10, 5)
-    assert res.p_e == pytest.approx(0.1)
-    assert res.p_e_star == pytest.approx(0.092236816)
-    assert not res.holds
 
 
 def test_probe_validation():

@@ -20,7 +20,7 @@ from bitswap_ea.engine import (
     ElitismPartition,
     EngineConfig,
     RunRecord,
-    _partition,
+    _scan,
     _split,
     classify_partition,
     init_population,
@@ -29,9 +29,13 @@ from bitswap_ea.engine import (
     run_rls_baseline,
 )
 from bitswap_ea.fitness import FitnessSpec, evaluate
-from bitswap_ea.genome import make_rng, mix_seed, random_genome
+from bitswap_ea.genome import Genome, make_rng, mix_seed, random_genome
 
 SEEDS = range(200)
+
+
+def best(pop) -> int:
+    return max(ind.fitness for ind in pop.members)
 
 
 def reference_run(config: EngineConfig, seed: int, record_trace: bool = True) -> RunRecord:
@@ -42,12 +46,12 @@ def reference_run(config: EngineConfig, seed: int, record_trace: bool = True) ->
     pop = init_population(config, rng)
     trace = [classify_partition(pop)] if record_trace else []
     generations = 0
-    while pop.best_fitness() != spec.max_fitness and generations < config.cap:
+    while best(pop) != spec.max_fitness and generations < config.cap:
         pop = one_generation(pop, spec, config.lam, rng)
         generations += 1
         if record_trace:
             trace.append(classify_partition(pop))
-    terminated = (TERMINATED_OPTIMUM if pop.best_fitness() == spec.max_fitness
+    terminated = (TERMINATED_OPTIMUM if best(pop) == spec.max_fitness
                   else TERMINATED_CAP)
     return RunRecord(seed, spec, config.mu, config.lam, generations,
                      config.mu + 2 * config.lam * generations, terminated, trace)
@@ -144,7 +148,8 @@ def reference_rls(n: int, seed: int) -> RunRecord:
     cap = engine.default_generation_cap(1, n)
     while fitness < n and len(trace) <= cap:
         pos = int(rng.integers(0, n))
-        flipped = genome.with_bit(pos, 1 - genome.bit(pos))
+        text = str(genome)
+        flipped = Genome.from_string(text[:pos] + "10"[int(text[pos])] + text[pos + 1:])
         new_fitness, new_aux = evaluate(spec, flipped)
         if new_fitness >= fitness:
             genome, fitness, aux = flipped, new_fitness, new_aux
@@ -174,12 +179,12 @@ def test_split_keeps_population_order_and_ties():
     assert k == 4
     assert retained == [records[1], records[3], records[4]]
     assert survivors == [records[0], records[2], records[5]]
-    assert _partition(k, retained, survivors) == ElitismPartition(3, 2, 1, 2, 4, 6)
+    assert _scan(k, retained, survivors) == (ElitismPartition(3, 2, 1, 2, 4, 6), 3)
     # every record at the best level: no survivors, so beta1 = beta_minus1 = 0
     k, retained, survivors = _split(records[1::3] + [records[3]])
     assert (k, survivors) == (4, [])
     assert retained == [records[1], records[4], records[3]]
-    assert _partition(k, retained, survivors) == ElitismPartition(3, 0, 0, 2, 4, 6)
+    assert _scan(k, retained, survivors) == (ElitismPartition(3, 0, 0, 2, 4, 6), -1)
 
 
 @pytest.mark.parametrize(
