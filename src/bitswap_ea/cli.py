@@ -13,6 +13,8 @@ from .engine import EngineConfig, run
 from .fitness import ONEMAX, PLATEAU, FitnessSpec
 from .genome import make_rng
 from .harness import (
+    UNIT_EVALUATIONS,
+    UNIT_GENERATIONS,
     ExperimentConfig,
     _write_stamped,
     check_workers,
@@ -198,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="scaling-law fit from a summary CSV")
     p.add_argument("summary")
-    p.add_argument("--unit", choices=["generations", "evaluations"],
-                   default="generations")
+    p.add_argument("--unit", choices=[UNIT_GENERATIONS, UNIT_EVALUATIONS],
+                   default=UNIT_GENERATIONS)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("plot-data", help="two-column series files from a summary CSV")

@@ -20,21 +20,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import EngineConfig, RunRecord, _lemire_matches_numpy, run
+from .engine import TERMINATED_CAP, EngineConfig, RunRecord, _lemire_matches_numpy, run
 from .fitness import FitnessSpec
 from .genome import mix_seed
 
-_CONFIG_KEYS = {
-    "n": "list of bitstring lengths",
-    "mu": "list of parent population sizes",
-    "lambda": "list of pool sizes (even)",
-    "fitness": "onemax or plateau_royal_road",
-    "gamma": "bin width, plateau only",
-    "seed_count": "runs per grid cell",
-    "base_seed": "root of the per-cell seed derivation",
-    "generation_cap": "cap override, null for the default policy",
-    "out_dir": "directory for emitted CSVs",
+# Each sweep-config JSON key and the ExperimentConfig field it sets; the grid
+# keys are required, the others default to the field's default.
+_CONFIG_FIELDS = {
+    "n": "n_values", "mu": "mu_values", "lambda": "lam_values",
+    "fitness": "fitness", "gamma": "gamma", "seed_count": "seed_count",
+    "base_seed": "base_seed", "generation_cap": "generation_cap", "out_dir": "out_dir",
 }
+_GRID_KEYS = ("n", "mu", "lambda")
 
 
 def provenance_hash(parts: dict) -> str:
@@ -75,7 +72,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         """Check every field's type and range, so a bad config fails here,
         before any output directory or run exists."""
-        for key, attr in (("n", "n_values"), ("mu", "mu_values"), ("lambda", "lam_values")):
+        for key in _GRID_KEYS:
+            attr = _CONFIG_FIELDS[key]
             values = tuple(_whole(key, v) for v in getattr(self, attr))
             if not values:
                 raise ValueError(f"the {key} grid must be non-empty")
@@ -95,26 +93,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = set(raw) - set(_CONFIG_KEYS)
+        unknown = set(raw) - set(_CONFIG_FIELDS)
         if unknown:
-            known = ", ".join(sorted(_CONFIG_KEYS))
-            raise ValueError(
-                f"unknown config keys {sorted(unknown)}; known keys: {known}"
-            )
-        missing = {"n", "mu", "lambda"} - set(raw)
+            raise ValueError(f"unknown config keys {sorted(unknown)}; "
+                             f"known keys: {', '.join(sorted(_CONFIG_FIELDS))}")
+        missing = set(_GRID_KEYS) - set(raw)
         if missing:
             raise ValueError(f"config missing required keys {sorted(missing)}")
-        return cls(
-            n_values=_as_tuple(raw["n"]),
-            mu_values=_as_tuple(raw["mu"]),
-            lam_values=_as_tuple(raw["lambda"]),
-            fitness=raw.get("fitness", "onemax"),
-            gamma=raw.get("gamma"),
-            seed_count=raw.get("seed_count", 1),
-            base_seed=raw.get("base_seed", 0),
-            generation_cap=raw.get("generation_cap"),
-            out_dir=raw.get("out_dir", "results"),
-        )
+        return cls(**{_CONFIG_FIELDS[key]: _as_tuple(value) if key in _GRID_KEYS else value
+                      for key, value in raw.items()})
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -125,17 +112,8 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def to_dict(self) -> dict:
-        return {
-            "n": list(self.n_values),
-            "mu": list(self.mu_values),
-            "lambda": list(self.lam_values),
-            "fitness": self.fitness,
-            "gamma": self.gamma,
-            "seed_count": self.seed_count,
-            "base_seed": self.base_seed,
-            "generation_cap": self.generation_cap,
-            "out_dir": self.out_dir,
-        }
+        return {key: list(getattr(self, attr)) if key in _GRID_KEYS else getattr(self, attr)
+                for key, attr in _CONFIG_FIELDS.items()}
 
     @property
     def config_hash(self) -> str:
@@ -225,7 +203,7 @@ def summarize(records: list[RunRecord]) -> list[CellSummary]:
                 median_generations=float(statistics.median(gens)),
                 std_generations=statistics.pstdev(gens),
                 mean_evaluations=statistics.fmean(r.evaluations for r in group),
-                cap_hits=sum(r.terminated == "generation_cap" for r in group),
+                cap_hits=sum(r.terminated == TERMINATED_CAP for r in group),
             )
         )
     return out
@@ -355,8 +333,9 @@ def read_summary_csv(path: str) -> tuple[str, list[tuple[int, int, int, float, f
 
     A file that lacks any of these columns, or a row that lacks a value, has
     a non-numeric one, n < 1, mu < 2, lambda odd or below 2 (no run has such
-    a cell) or a non-finite mean, raises ``ValueError`` naming the file and
-    the row.
+    a cell), a non-finite or negative mean, or a mean_evaluations other than
+    mu + 2*lambda*mean_generations (every run's accounting) raises
+    ``ValueError`` naming the file and the row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         first = fh.readline()
@@ -388,6 +367,11 @@ def read_summary_csv(path: str) -> tuple[str, list[tuple[int, int, int, float, f
                                  "not even and >= 2")
             if not (math.isfinite(gens) and math.isfinite(evals)):
                 raise ValueError(f"{path}: data row {i} has a non-finite mean")
+            if gens < 0:
+                raise ValueError(f"{path}: data row {i} has mean_generations = {gens}, below 0")
+            if not math.isclose(evals, mu + 2 * lam * gens, rel_tol=1e-9):
+                raise ValueError(f"{path}: data row {i} has mean_evaluations = {evals}, "
+                                 "not mu + 2*lambda*mean_generations")
             rows.append((n, mu, lam, gens, evals))
     return config_hash, rows
 

@@ -305,9 +305,9 @@ DEFAULT_PROBE_GRID = {
 }
 
 
-def probe_region(grid: dict | None = None) -> list[ProbeResult]:
-    """Probe results over the full (p_sel, phi, lambda, m) grid."""
-    g = grid or DEFAULT_PROBE_GRID
+def probe_region() -> list[ProbeResult]:
+    """Probe results over the full (p_sel, phi, lambda, m) DEFAULT_PROBE_GRID."""
+    g = DEFAULT_PROBE_GRID
     out = []
     for lam in g["lam"]:
         for m in range(1, lam // 2 + 1):

@@ -344,7 +344,11 @@ def test_summary_readers_name_missing_columns(tmp_path, capsys, command):
      "data row 2: invalid literal for int() with base 10: 'sixteen'"),
     ("16,0,2,40.5,166.0", "data row 2 has mu = 0, below 2"),
     ("16,2,3,40.5,166.0", "data row 2 has lambda = 3, not even and >= 2"),
-], ids=["nan-mean", "inf-mean", "n-zero", "non-numeric-n", "mu-zero", "lambda-odd"])
+    ("16,2,2,-1.0,-2.0", "data row 2 has mean_generations = -1.0, below 0"),
+    ("32,2,2,10.0,0.0",
+     "data row 2 has mean_evaluations = 0.0, not mu + 2*lambda*mean_generations"),
+], ids=["nan-mean", "inf-mean", "n-zero", "non-numeric-n", "mu-zero", "lambda-odd",
+        "negative-mean", "evaluations-off-accounting"])
 @pytest.mark.parametrize("command", [["fit"], ["plot-data", "--out", "OUT"]],
                          ids=["fit", "plot-data"])
 def test_summary_readers_name_the_bad_row(tmp_path, capsys, command, row, message):

@@ -419,9 +419,9 @@ def test_fit_from_summary_matches_direct_fit(tmp_path, small_records):
 def test_read_summary_csv_rejects_a_row_without_values(tmp_path):
     path = tmp_path / "summary.csv"
     path.write_text("n,mu,lambda,mean_generations,mean_evaluations\n"
-                    "16,2,2,40.5,166.0\n32,2\n")
+                    "16,2,2,40.5,164.0\n32,2\n")
     with pytest.raises(ValueError, match="data row 2 lacks values"):
         read_summary_csv(str(path))
     path.write_text("# config_hash=abc\nn,mu,lambda,mean_generations,mean_evaluations\n"
-                    "16,2,2,40.5,166.0\n")
-    assert read_summary_csv(str(path)) == ("abc", [(16, 2, 2, 40.5, 166.0)])
+                    "16,2,2,40.5,164.0\n")
+    assert read_summary_csv(str(path)) == ("abc", [(16, 2, 2, 40.5, 164.0)])
