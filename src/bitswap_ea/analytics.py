@@ -133,57 +133,48 @@ def harmonic(m: int) -> float:
     return float(np.sum(1.0 / np.arange(1, m + 1, dtype=np.float64)))
 
 
-def digamma(x: float) -> float:
-    """Digamma for x > 0, as are ``trigamma`` and ``tetragamma`` below.
-
-    Shifts the argument above a threshold with the exact recurrence, then
-    evaluates the asymptotic tail series. Absolute error stays below 1e-10
-    across the tested domain.
-    """
+def _polygamma(x: float, coef: float, power: int, tail) -> float:
+    """The recurrence of ``digamma``, ``trigamma`` and ``tetragamma``, x > 0:
+    ``coef / x**power`` per shift of ``x`` up to ``_SHIFT`` (±inf if ``x**power``
+    underflows to 0), then ``tail(x, 1 / x**2)``, the asymptotic series at the
+    shifted ``x``, all by ``math.fsum``; absolute error below 1e-10 when tested."""
     if x <= 0:
         raise ValueError(f"argument must be > 0, got {x}")
     terms = []
     while x < _SHIFT:
-        terms.append(-1.0 / x)
+        den = math.prod((x,) * power)
+        terms.append(coef / den if den else math.copysign(math.inf, coef))
         x += 1.0
-    r = 1.0 / (x * x)
-    tail = r * (
-        1 / 12
-        - r * (1 / 120 - r * (1 / 252 - r * (1 / 240 - r * (1 / 132 - r * 691 / 32760))))
-    )
-    terms += [math.log(x), -0.5 / x, -tail]
-    return math.fsum(terms)
+    return math.fsum(terms + tail(x, 1.0 / (x * x)))
+
+
+def digamma(x: float) -> float:
+    """Digamma for x > 0, as are ``trigamma`` and ``tetragamma`` below."""
+    def tail(x: float, r: float) -> list[float]:
+        series = r * (
+            1 / 12 - r * (1 / 120 - r * (1 / 252 - r * (1 / 240 - r * (1 / 132 - r * 691 / 32760))))
+        )
+        return [math.log(x), -0.5 / x, -series]
+    return _polygamma(x, -1.0, 1, tail)
 
 
 def trigamma(x: float) -> float:
-    if x <= 0:
-        raise ValueError(f"argument must be > 0, got {x}")
-    terms = []
-    while x < _SHIFT:
-        terms.append(1.0 / (x * x))
-        x += 1.0
-    r = 1.0 / (x * x)
-    series = r * (
-        1 / 6 - r * (1 / 30 - r * (1 / 42 - r * (1 / 30 - r * (5 / 66 - r * 691 / 2730))))
-    )
-    terms += [1.0 / x, 0.5 * r, series / x]
-    return math.fsum(terms)
+    def tail(x: float, r: float) -> list[float]:
+        series = r * (
+            1 / 6 - r * (1 / 30 - r * (1 / 42 - r * (1 / 30 - r * (5 / 66 - r * 691 / 2730))))
+        )
+        return [1.0 / x, 0.5 * r, series / x]
+    return _polygamma(x, 1.0, 2, tail)
 
 
 def tetragamma(x: float) -> float:
     """Second derivative of the digamma function."""
-    if x <= 0:
-        raise ValueError(f"argument must be > 0, got {x}")
-    terms = []
-    while x < _SHIFT:
-        terms.append(-2.0 / (x * x * x))
-        x += 1.0
-    r = 1.0 / (x * x)
-    series = r * r * (
-        -1 / 2 + r * (1 / 6 - r * (1 / 6 - r * (3 / 10 - r * (5 / 6 - r * 8983 / 2730))))
-    )
-    terms += [-r, -r / x, series]
-    return math.fsum(terms)
+    def tail(x: float, r: float) -> list[float]:
+        series = r * r * (
+            -1 / 2 + r * (1 / 6 - r * (1 / 6 - r * (3 / 10 - r * (5 / 6 - r * 8983 / 2730))))
+        )
+        return [-r, -r / x, series]
+    return _polygamma(x, -2.0, 3, tail)
 
 
 # --- level sums ---------------------------------------------------------

@@ -395,17 +395,14 @@ def one_bit_swap(
 
 
 def _uniform_subset(items: list, k: int, rng: RandomSource) -> list:
-    """A uniform ``k``-subset of ``items``; no draw when ``k`` is 0 or all of them.
+    """A uniform ``k``-subset of ``items`` (all of them when ``k >= len(items)``).
 
-    The first ``k`` of a shuffled copy: the same elements, in the same order
-    and from the same draws, as ``[items[i] for i in rng.permutation(m)[:k]]``.
+    Draws only when ``0 < k < len(items)``: shuffles ``items`` in place and
+    returns its first ``k``, so the ones it drops are its tail. The same
+    elements, order and draws as ``[items[i] for i in rng.permutation(m)[:k]]``.
     """
-    if k == 0:
-        return []
-    if k == len(items):
-        return items
-    items = items[:]
-    rng.shuffle(items)
+    if 0 < k < len(items):
+        rng.shuffle(items)
     return items[:k]
 
 
@@ -418,21 +415,17 @@ def _replace(
     ``k``, ``retained`` and ``survivors`` are ``_split`` of the members. The
     order is retained members, new elite (offspring at or above ``k``), a
     subset of the other offspring, then a subset of the survivors; on overflow
-    it is a uniform ``mu``-subset of retained plus new elite. The survivors'
-    subset is drawn as ``_uniform_subset`` draws it, but by shuffling
-    ``survivors`` in place, so the ones it drops are the list's tail.
+    it is a uniform ``mu``-subset of retained plus new elite. Each subset is
+    ``_uniform_subset``'s, which shuffles its list in place, so the survivors
+    it drops are the tail of ``survivors``.
     """
     mu = len(retained) + len(survivors)
     pop = retained + [o for o in offspring if o[0] >= k]
     if len(pop) > mu:
         return _uniform_subset(pop, mu, rng)
     rest = [o for o in offspring if o[0] < k]
-    pop += _uniform_subset(rest, min(mu - len(pop), len(rest)), rng)
-    keep = mu - len(pop)
-    if 0 < keep < len(survivors):
-        rng.shuffle(survivors)
-    pop += survivors[:keep]
-    return pop
+    pop += _uniform_subset(rest, mu - len(pop), rng)
+    return pop + _uniform_subset(survivors, mu - len(pop), rng)
 
 
 def replace(
@@ -484,8 +477,7 @@ class _SwapTable:
     def build(cls, pop: Population, spec: FitnessSpec) -> "_SwapTable":
         mu, n = pop.mu, spec.n
         ranks = [(ind.fitness, ind.aux, m) for m, ind in enumerate(pop.members)]
-        # a slot's code // n is (i*mu + j)*2 + coin, as ``decode_slot`` reads it
-        winner = [_winner(ranks, *divmod(q >> 1, mu), q & 1)[2] * n for q in range(2 * mu * mu)]
+        winner = [_winner(ranks, *decode_slot(q * n, mu, n)[:3])[2] * n for q in range(2 * mu * mu)]
         masks = [1 << (n - 1 - p) for p in range(n)]
         words = [ind.genome.word for ind in pop.members]
         children = [value for (f, a, _), w in zip(ranks, words) for mask in masks
@@ -654,15 +646,11 @@ def run(config: EngineConfig, seed: int, record_trace: bool = True) -> RunRecord
     )
 
 
-def run_rls_baseline(
-    n: int,
-    seed: int,
-    generation_cap: int | None = None,
-    record_trace: bool = True,
-) -> RunRecord:
+def run_rls_baseline(n: int, seed: int) -> RunRecord:
     """Single-individual baseline: flip one uniform bit, keep it unless fitness drops.
 
-    One evaluation per step plus one for the initial individual, so
+    Runs to the optimum or ``default_generation_cap(1, n)`` and traces every
+    step. One evaluation per step plus one for the initial individual, so
     ``evaluations = generations + 1`` here (the engine's ``2*lambda`` rule does
     not apply to a walk without a pool).
     """
@@ -670,11 +658,9 @@ def run_rls_baseline(
     rng = make_rng(seed)
     word = random_genome(n, rng).word
     fitness, aux = evaluate_word(spec, word)
-    cap = generation_cap if generation_cap is not None else default_generation_cap(1, n)
+    cap = default_generation_cap(1, n)
     steps = 0
-    trace = []
-    if record_trace:
-        trace.append(ElitismPartition(1, 0, 0, 1, fitness, aux))
+    trace = [ElitismPartition(1, 0, 0, 1, fitness, aux)]
 
     draw = _run_draw(rng, n, 1)
     while fitness < n and steps < cap:
@@ -684,8 +670,7 @@ def run_rls_baseline(
         if new_fitness >= fitness:
             word, fitness, aux = flipped, new_fitness, new_aux
         steps += 1
-        if record_trace:
-            trace.append(ElitismPartition(1, 0, 0, 1, fitness, aux))
+        trace.append(ElitismPartition(1, 0, 0, 1, fitness, aux))
 
     return RunRecord(
         seed=seed,

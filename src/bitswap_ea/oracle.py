@@ -27,7 +27,7 @@ import numpy as np
 
 from .engine import classify_partition, one_generation_blocks
 from .fitness import FitnessSpec, evaluate_word, make_individual
-from .genome import Genome, Population, RandomSource
+from .genome import Genome, Individual, Population, RandomSource
 
 ENUM_MAX_MU = 6
 ENUM_MAX_LAM = 6
@@ -62,14 +62,10 @@ class PopulationSpec:
             raise ValueError("lower levels need k high enough to sit below")
         if not 0 <= k <= n:
             raise ValueError(f"k must be in [0, n], got {k}")
-
-        def leading_ones(c: int) -> Genome:
-            return Genome(n, ((1 << c) - 1) << (n - c))
-
         genomes = (
-            [leading_ones(k)] * alpha
-            + [leading_ones(k - 1)] * beta1
-            + [leading_ones(max(k - 2, 0))] * beta_minus1
+            [_leading_ones(n, k)] * alpha
+            + [_leading_ones(n, k - 1)] * beta1
+            + [_leading_ones(n, max(k - 2, 0))] * beta_minus1
         )
         return cls(tuple(genomes), FitnessSpec.onemax(n))
 
@@ -83,13 +79,30 @@ class PopulationSpec:
         )
 
 
+def _leading_ones(n: int, c: int) -> Genome:
+    """The length-``n`` genome of ``c`` ones followed by zeros."""
+    return Genome(n, ((1 << c) - 1) << (n - c))
+
+
+def _top_level(members: tuple[Individual, ...]) -> tuple[int, int]:
+    """The best fitness among ``members`` and how many of them hold it."""
+    fitness = [ind.fitness for ind in members]
+    best = max(fitness)
+    return best, fitness.count(best)
+
+
+def _bernoulli_se(hits: int, trials: int) -> float:
+    """Standard error of the hit frequency ``hits / trials``."""
+    p = hits / trials
+    return math.sqrt(p * (1 - p) / trials)
+
+
 def new_elite_count(before_k: int, before_alpha: int, after: Population) -> int:
     """Number of members at the next population's best level that were not
     already elite. A single swapped bit moves either fitness kind by at most
     one, so that level is the old one (increment over alpha counts) or one
     above it (every member there is new)."""
-    best = max(ind.fitness for ind in after.members)
-    at_best = sum(1 for ind in after.members if ind.fitness == best)
+    best, at_best = _top_level(after.members)
     return at_best - before_alpha if best == before_k else at_best
 
 
@@ -115,10 +128,8 @@ def exact_generation_success(spec: PopulationSpec, lam: int) -> ExactGenerationR
             f"n <= {ENUM_MAX_N}; got mu={mu}, lambda={lam}, n={n}"
         )
 
-    pop = spec.to_population()
-    members = pop.members
-    k = max(ind.fitness for ind in members)
-    alpha = sum(1 for ind in members if ind.fitness == k)
+    members = spec.to_population().members
+    k, alpha = _top_level(members)
 
     # Slot winner law in units of 1/(2 mu^2): both draws uniform with
     # replacement, a strict win adds 2 and a tie adds 1 to each side.
@@ -228,8 +239,7 @@ def monte_carlo_success(
     if trials < 1_000:
         raise ValueError(f"trials must be >= 1000, got {trials}")
     pop = spec.to_population()
-    k = max(ind.fitness for ind in pop.members)
-    alpha = sum(1 for ind in pop.members if ind.fitness == k)
+    k, alpha = _top_level(pop.members)
 
     counts = np.zeros(pop.mu + 1, dtype=np.int64)
     for fitness, _ in one_generation_blocks(pop, spec.fitness, lam, trials, rng):
@@ -240,17 +250,12 @@ def monte_carlo_success(
         counts += np.bincount(gained, minlength=pop.mu + 1)
     one = int(counts[1])
     any_ = trials - int(counts[0])
-
-    def se(hits: int) -> float:
-        p = hits / trials
-        return math.sqrt(p * (1 - p) / trials)
-
     return MonteCarloResult(
         trials=trials,
         p_exactly_one_new_elite=one / trials,
-        se_exactly_one=se(one),
+        se_exactly_one=_bernoulli_se(one, trials),
         p_at_least_one_new_elite=any_ / trials,
-        se_at_least_one=se(any_),
+        se_at_least_one=_bernoulli_se(any_, trials),
         elite_count_frequencies={c: int(h) / trials for c, h in enumerate(counts) if h},
     )
 
@@ -344,12 +349,7 @@ def _plateau_genomes(n: int, gamma: int, mu: int) -> list[Genome]:
     # counting, one elite member. At gamma=1 the two readings coincide.
     if n // gamma < 2 and gamma > 1:
         raise ValueError("need at least two bins to leave a partial bin")
-    lead = 2 * gamma - 1
-    other = 2 * gamma - 2
-    genomes = [Genome(n, ((1 << lead) - 1) << (n - lead))]
-    for _ in range(mu - 1):
-        genomes.append(Genome(n, ((1 << other) - 1) << (n - other)))
-    return genomes
+    return [_leading_ones(n, 2 * gamma - 1)] + [_leading_ones(n, 2 * gamma - 2)] * (mu - 1)
 
 
 def plateau_comparison(
@@ -377,8 +377,7 @@ def plateau_comparison(
         for fitness, aux in one_generation_blocks(pop, spec, lam, trials, rng):
             front = (fitness > part.k) | ((fitness == part.k) & (aux >= part.best_aux))
             hits += int((front.sum(axis=1) > part.alpha_star).sum())
-        p = hits / trials
-        results.append((p, math.sqrt(p * (1 - p) / trials)))
+        results.append((hits / trials, _bernoulli_se(hits, trials)))
 
     (p1, se1), (p2, se2) = results
     return PlateauComparison(p1, se1, p2, se2, trials)

@@ -157,6 +157,17 @@ def test_polygamma_domain_errors():
             fn(-1.5)
 
 
+@pytest.mark.parametrize("fn, x, expected", [
+    (digamma, 1e-310, -math.inf),
+    (trigamma, 1e-160, math.inf),
+    # x * x and x * x * x underflow to 0 at these two
+    (trigamma, 1e-310, math.inf),
+    (tetragamma, 1e-160, -math.inf),
+])
+def test_polygammas_of_tiny_arguments_are_infinite(fn, x, expected):
+    assert fn(x) == expected
+
+
 # --- level sums ----------------------------------------------------------
 
 

@@ -249,12 +249,16 @@ def test_uniform_subset_draws_as_indexing_through_a_permutation(seed):
     for m in range(1, 71):
         items = list(range(100, 100 + m))
         for k in range(m + 1):
-            got = _uniform_subset(items, k, rng)
+            owned = items[:]
+            got = _uniform_subset(owned, k, rng)
             if 0 < k < m:
                 assert got == [items[i] for i in twin.permutation(m)[:k].tolist()]
             else:
                 assert got == items[:k]
-            assert items == list(range(100, 100 + m))
+            # shuffled in place: the subset leads the list, the dropped items
+            # are its tail (``_carry`` reads the dropped survivors there)
+            assert owned[:k] == got
+            assert sorted(owned[k:]) == [x for x in items if x not in got]
             assert rng.bit_generator.state == twin.bit_generator.state
 
 
