@@ -33,6 +33,13 @@ from .oracle import plateau_comparison, probe_region
 from .verify import bound_checks, probability_checks
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` for numpy's generator, which takes no negative seed."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = FitnessSpec.of(ONEMAX if args.gamma is None else PLATEAU, args.n, args.gamma)
     cfg = EngineConfig(spec=spec, mu=args.mu, lam=args.lam,
@@ -160,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=int, default=2)
     p.add_argument("--lambda", dest="lam", type=int, default=2)
     p.add_argument("--gamma", type=int, default=None, help="bin width; selects plateau fitness")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--generation-cap", type=int, default=None)
     p.add_argument("--out", default=None, help="directory for the trace CSV")
     p.set_defaults(func=_cmd_run)
@@ -175,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-probabilities",
                        help="event formulas vs exact enumeration vs Monte-Carlo")
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--seed", type=_seed, default=2024)
     p.set_defaults(func=_cmd_verify_probabilities)
 
     p = sub.add_parser("verify-bounds", help="level-sum and bound identity suites")
@@ -194,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=int, default=4)
     p.add_argument("--lambda", dest="lam", type=int, default=4)
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--seed", type=_seed, default=2024)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_compare_plateau)
 

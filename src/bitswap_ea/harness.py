@@ -77,6 +77,8 @@ class ExperimentConfig:
             values = tuple(_whole(key, v) for v in getattr(self, attr))
             if not values:
                 raise ValueError(f"the {key} grid must be non-empty")
+            if len(set(values)) < len(values):
+                raise ValueError(f"the {key} grid repeats a value: {list(values)}")
             object.__setattr__(self, attr, values)
         for attr in ("seed_count", "base_seed", "generation_cap", "gamma"):
             value = getattr(self, attr)

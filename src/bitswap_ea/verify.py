@@ -16,7 +16,6 @@ from .analytics import (
     digamma,
     event_probs,
     harmonic,
-    phi,
     phi1,
     phi2,
     phi3,
@@ -51,6 +50,19 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
+def _every_case(name: str, failures: list[str], detail: str) -> CheckResult:
+    """Pass when no case failed, else name every failing case. A caller lists
+    a case unless its condition holds (``not refined <= simple``), so a NaN fails."""
+    return CheckResult(name, not failures, "; ".join(failures) or detail)
+
+
+def _worst_gap(gaps, tol: float) -> tuple[bool, float]:
+    """Whether every gap is <= ``tol``, and the worst gap; a NaN gap fails
+    and shows as the worst."""
+    gaps = list(gaps)
+    return all(g <= tol for g in gaps), max(gaps, key=lambda g: (math.isnan(g), g))
+
+
 # Shared small-population fixtures: exact enumeration is feasible on all of
 # them, and Monte-Carlo through the engine must agree.
 SMALL_FIXTURES: list[tuple[str, PopulationSpec, int]] = [
@@ -82,19 +94,17 @@ def probability_checks(trials: int = 100_000, seed: int = 2024) -> list[CheckRes
     ))
 
     rng = random.Random(seed)
-    ok = True
-    worst = ""
+    failures = []
     for _ in range(300):
         n = rng.randrange(2, 200)
         k = rng.randrange(1, n + 1)
-        for j in (1, 2, 3, 4):
+        for j, channel in enumerate((phi1, phi2, phi3, phi4), 1):
             if j >= 3 and k < 2:
                 continue
-            v = phi(j, k, n)
+            v = channel(k, n)
             if not 0.0 <= v <= 1.0:
-                ok = False
-                worst = f"phi{j}({k},{n})={v}"
-    out.append(_check("swap_probability_range", ok, worst or "all in [0,1] on 300 draws"))
+                failures.append(f"phi{j}({k},{n})={v}")
+    out.append(_every_case("swap_probability_range", failures, "all in [0,1] on 300 draws"))
 
     ep = event_probs(alpha=1, beta1=1, mu=4, lam=4, k=5, n=10)
     out.append(_check(
@@ -103,8 +113,7 @@ def probability_checks(trials: int = 100_000, seed: int = 2024) -> list[CheckRes
         f"p_e1={ep.p_e1} p_e2={ep.p_e2}",
     ))
 
-    ok = True
-    worst = ""
+    failures = []
     for _ in range(400):
         n = rng.randrange(4, 64)
         k = rng.randrange(1, n + 1)
@@ -115,67 +124,51 @@ def probability_checks(trials: int = 100_000, seed: int = 2024) -> list[CheckRes
         beta1 = mu - alpha if k < 2 else rng.randrange(0, mu - alpha + 1)
         ep = event_probs(alpha, beta1, mu, lam, k, n)
         vals = (ep.p_e1, ep.p_e2, ep.p_e3, ep.p_e4, ep.s)
+        case = f"alpha={alpha} beta1={beta1} mu={mu} lam={lam} k={k} n={n}"
         if not all(0.0 <= v <= 1.0 for v in vals):
-            ok = False
-            worst = f"alpha={alpha} beta1={beta1} mu={mu} lam={lam} k={k} n={n}: {vals}"
-        if alpha == mu and (ep.p_e1 != 0.0 or ep.p_e2 != 0.0 or ep.p_e3 != 0.0 or ep.p_e4 != 0.0):
-            ok = False
-            worst = f"alpha=mu={mu} should zero all events"
-        if alpha + beta1 == mu and (ep.p_e3 != 0.0 or ep.p_e4 != 0.0):
-            ok = False
-            worst = f"alpha+beta1=mu={mu} should zero the two-level-gap events"
-    out.append(_check("event_probability_range", ok, worst or "in range with vanishing factors, 400 draws"))
+            failures.append(f"{case}: {vals}")
+        if alpha == mu and any(vals[:4]):
+            failures.append(f"{case}: alpha=mu should zero all events")
+        elif alpha + beta1 == mu and any(vals[2:4]):
+            failures.append(f"{case}: alpha+beta1=mu should zero the two-level-gap events")
+    out.append(_every_case("event_probability_range", failures,
+                           "in range with vanishing factors, 400 draws"))
 
     rng_mc = make_rng(seed)
-    ok = True
-    lines = []
+    failures = []
     for label, spec, lam in SMALL_FIXTURES:
         ex = exact_generation_success(spec, lam)
         mc = monte_carlo_success(spec, lam, trials, rng_mc)
-        for attr_e, attr_m, attr_s in (
-            ("p_exactly_one_new_elite", "p_exactly_one_new_elite", "se_exactly_one"),
-            ("p_at_least_one_new_elite", "p_at_least_one_new_elite", "se_at_least_one"),
-        ):
-            e = float(getattr(ex, attr_e))
-            m = getattr(mc, attr_m)
-            s = getattr(mc, attr_s)
-            if abs(m - e) > 4 * max(s, 1e-12) and not (e == 0.0 and m == 0.0):
-                ok = False
-                lines.append(f"{label}.{attr_e}: exact={e:.5f} mc={m:.5f} se={s:.5f}")
-        if sum(ex.elite_count_distribution.values()) != 1:
-            ok = False
-            lines.append(f"{label}: distribution does not sum to 1")
-    out.append(_check(
-        "exact_vs_monte_carlo",
-        ok,
-        "; ".join(lines) or f"{len(SMALL_FIXTURES)} fixtures within 4 standard errors at {trials} trials",
-    ))
+        for attr, attr_se in (("p_exactly_one_new_elite", "se_exactly_one"),
+                              ("p_at_least_one_new_elite", "se_at_least_one")):
+            e = float(getattr(ex, attr))
+            m = getattr(mc, attr)
+            s = getattr(mc, attr_se)
+            if not (abs(m - e) <= 4 * max(s, 1e-12) or e == m == 0.0):
+                failures.append(f"{label}.{attr}: exact={e:.5f} mc={m:.5f} se={s:.5f}")
+        if not sum(ex.elite_count_distribution.values()) == 1:
+            failures.append(f"{label}: distribution does not sum to 1")
+    out.append(_every_case("exact_vs_monte_carlo", failures,
+                           f"{len(SMALL_FIXTURES)} fixtures within 4 standard errors at {trials} trials"))
 
-    ok = True
-    lines = []
+    failures = []
     for spec in MONOTONE_FIXTURES:
         ps = [exact_generation_success(spec, lam).p_at_least_one_new_elite for lam in (2, 4, 6)]
         if not ps[0] <= ps[1] <= ps[2]:
-            ok = False
-            lines.append(f"mu={spec.mu}: {[float(p) for p in ps]}")
-    out.append(_check("success_monotone_in_pool_size", ok, "; ".join(lines) or "non-decreasing over lambda in {2,4,6}"))
+            failures.append(f"mu={spec.mu}: {[float(p) for p in ps]}")
+    out.append(_every_case("success_monotone_in_pool_size", failures,
+                           "non-decreasing over lambda in {2,4,6}"))
 
-    ok = True
-    lines = []
+    failures = []
     for alpha, beta1, beta_m1 in ((1, 2, 1), (2, 2, 0), (4, 0, 0), (3, 1, 0)):
         mu = alpha + beta1 + beta_m1
-        n = 8
-        spec = PopulationSpec.from_level_counts(n, n, alpha, beta1, beta_m1)
-        s = event_probs(alpha, beta1, mu, 4, n, n).s
+        spec = PopulationSpec.from_level_counts(8, 8, alpha, beta1, beta_m1)
+        s = event_probs(alpha, beta1, mu, 4, 8, 8).s
         p = exact_generation_success(spec, 4).p_exactly_one_new_elite
-        if (s > 0) != (p > 0):
-            ok = False
-            lines.append(f"alpha={alpha} beta1={beta1}: s={s} exact={float(p)}")
-    out.append(_check(
-        "analytic_sign_agreement_at_top_level",
-        ok,
-        "; ".join(lines) or "s and the enumerated success share a sign when no level above exists",
-    ))
+        if not (s > 0 and p > 0 or s == 0 and p == 0):
+            failures.append(f"alpha={alpha} beta1={beta1}: s={s} exact={float(p)}")
+    out.append(_every_case("analytic_sign_agreement_at_top_level", failures,
+                           "s and the enumerated success share a sign when no level above exists"))
 
     pr = representative_probe(0.1, 0.2, 10, 5)
     zero = representative_probe(0.3, 0.0, 6, 2)
@@ -216,40 +209,29 @@ def bound_checks(seed: int = 2024) -> list[CheckResult]:
         f"rho=1,m=2: {c1.value:.9f}; rho=0,m=3: {c2.value:.9f}",
     ))
 
-    ok = True
-    worst = 0.0
-    for _ in range(100):
-        r = rng.uniform(1e-6, 10.0)
-        m = rng.randrange(1, 1001)
+    def square_gap(r: float, m: int) -> float:
         direct = math.fsum(1.0 / (a + r) ** 2 for a in range(1, m + 1))
-        closed = trigamma(r + 1) - trigamma(r + m + 1)
-        worst = max(worst, abs(direct - closed))
-        if abs(direct - closed) > 1e-9:
-            ok = False
+        return abs(direct - (trigamma(r + 1) - trigamma(r + m + 1)))
+
+    ok, worst = _worst_gap(
+        (square_gap(rng.uniform(1e-6, 10.0), rng.randrange(1, 1001)) for _ in range(100)), 1e-9)
     out.append(_check("square_sum_telescopes", ok, f"worst gap {worst:.2e} over 100 draws"))
 
-    ok = True
-    worst = 0.0
-    for _ in range(100):
-        rho = rng.uniform(0.0, 8.0)
-        m = rng.randrange(1, 501)
+    def cube_gap(rho: float, m: int) -> float:
         direct = math.fsum(1.0 / (a + rho) ** 3 for a in range(1, m + 1))
         closed = cubic_level_sum(rho**3, 3 * rho**2, 3 * rho, m).closed_form
-        if closed is None:
-            ok = False
-            continue
-        worst = max(worst, abs(direct - closed))
-        if abs(direct - closed) > 1e-9:
-            ok = False
+        return math.nan if closed is None else abs(direct - closed)
+
+    ok, worst = _worst_gap(
+        (cube_gap(rng.uniform(0.0, 8.0), rng.randrange(1, 501)) for _ in range(100)), 1e-9)
     out.append(_check("cube_sum_telescopes", ok, f"worst gap {worst:.2e} over 100 draws"))
 
     d_ok = abs(digamma(1.0) + EULER_GAMMA) < 1e-12 and abs(trigamma(1.0) - math.pi**2 / 6) < 1e-12
-    rec_worst = 0.0
-    for x in (0.5, 1.0, 7.25):
-        rec_worst = max(rec_worst, abs(digamma(x + 1) - digamma(x) - 1 / x))
+    rec_ok, rec_worst = _worst_gap(
+        (abs(digamma(x + 1) - digamma(x) - 1 / x) for x in (0.5, 1.0, 7.25)), 1e-10)
     out.append(_check(
         "polygamma_reference_points",
-        d_ok and rec_worst < 1e-10,
+        d_ok and rec_ok,
         f"psi0(1)={digamma(1.0):.12f} psi1(1)={trigamma(1.0):.12f} recurrence gap {rec_worst:.2e}",
     ))
 
@@ -276,16 +258,11 @@ def bound_checks(seed: int = 2024) -> list[CheckResult]:
         f"n=6 mu=2: {rb.generations} (157/5 = {157 / 5})",
     ))
 
-    ok = True
-    worst = 0.0
-    for n in (5, 8, 16, 33, 64, 100, 257, 512):
-        direct = math.fsum(1.0 / ((k - 1) * (n - k + 1)) for k in range(2, n - 1))
-        split = math.fsum(
-            (1.0 / (k - 1) + 1.0 / (n - k + 1)) / n for k in range(2, n - 1)
-        )
-        worst = max(worst, abs(direct - split))
-        if abs(direct - split) > 1e-12:
-            ok = False
+    ok, worst = _worst_gap((
+        abs(math.fsum(1.0 / ((k - 1) * (n - k + 1)) for k in range(2, n - 1))
+            - math.fsum((1.0 / (k - 1) + 1.0 / (n - k + 1)) / n for k in range(2, n - 1)))
+        for n in (5, 8, 16, 33, 64, 100, 257, 512)
+    ), 1e-12)
     out.append(_check("inner_sum_partial_fractions", ok, f"worst gap {worst:.2e} for n up to 512"))
 
     p_100 = BoundParams.constant_elite_fraction(mu=2, lam=2, n=100, c=1.0)
@@ -297,24 +274,18 @@ def bound_checks(seed: int = 2024) -> list[CheckResult]:
         f"n=100 exact/asymptotic ratio {rb100.ratio:.4f}",
     ))
 
-    ok = True
-    lines = []
+    failures = []
     for n in (16, 32, 64, 128):
         for mu in (2, 4, 8):
             p = BoundParams.constant_elite_fraction(mu=mu, lam=4, n=n, c=1.0)
             simple = simple_runtime_bound(p).generations
             refined = refined_runtime_bound(p).generations
-            if refined > simple:
-                ok = False
-                lines.append(f"n={n} mu={mu}: refined {refined:.1f} > simple {simple:.1f}")
-    out.append(_check(
-        "refined_below_simple",
-        ok,
-        "; ".join(lines) or "refined bound below the simple one across the grid",
-    ))
+            if not refined <= simple:
+                failures.append(f"n={n} mu={mu}: refined {refined:.1f}, simple {simple:.1f}")
+    out.append(_every_case("refined_below_simple", failures,
+                           "refined bound below the simple one across the grid"))
 
-    ok = True
-    worst = ""
+    failures = []
     for n, mu in ((20, 2), (50, 4), (100, 8)):
         cutoff = 2 * n + 4 - math.sqrt(2.0 * (n * n + 7 * n + 8))
         for k in range(3, n - 2):
@@ -323,13 +294,9 @@ def bound_checks(seed: int = 2024) -> list[CheckResult]:
             denom = 2 * mu * phi3(k, n) + phi4(k, n)
             q = k * k - 4 * (n + 2) * k + 2 * n * (n + 1)
             envelope = n * n / (mu * q)
-            if 1.0 / denom > envelope + 1e-12:
-                ok = False
-                worst = f"n={n} mu={mu} k={k}"
-    out.append(_check(
-        "termwise_envelope_on_validity_region",
-        ok,
-        worst or "envelope dominates each term left of its breakdown point",
-    ))
+            if not 1.0 / denom <= envelope + 1e-12:
+                failures.append(f"n={n} mu={mu} k={k}")
+    out.append(_every_case("termwise_envelope_on_validity_region", failures,
+                           "envelope dominates each term left of its breakdown point"))
 
     return out

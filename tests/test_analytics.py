@@ -11,7 +11,6 @@ from bitswap_ea.analytics import (
     digamma,
     event_probs,
     harmonic,
-    phi,
     phi1,
     phi2,
     phi3,
@@ -48,22 +47,13 @@ def test_channel_domain_errors():
         phi1(0, 10)
     with pytest.raises(ValueError):
         phi1(11, 10)
-    with pytest.raises(ValueError):
-        phi(5, 3, 10)
-
-
-def test_phi_dispatch_matches_channels():
-    assert phi(1, 5, 10) == phi1(5, 10)
-    assert phi(2, 5, 10) == phi2(5, 10)
-    assert phi(3, 5, 10) == phi3(5, 10)
-    assert phi(4, 5, 10) == phi4(5, 10)
 
 
 @given(st.integers(2, 80), st.data())
 def test_channels_stay_in_unit_interval(n, data):
     k = data.draw(st.integers(2, n))
-    for j in (1, 2, 3, 4):
-        assert 0.0 <= phi(j, k, n) <= 1.0
+    for channel in (phi1, phi2, phi3, phi4):
+        assert 0.0 <= channel(k, n) <= 1.0
 
 
 # --- event probabilities ------------------------------------------------
@@ -155,6 +145,18 @@ def test_polygamma_domain_errors():
             fn(0.0)
         with pytest.raises(ValueError):
             fn(-1.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: digamma(math.nan),
+    lambda: trigamma(math.nan),
+    lambda: tetragamma(math.nan),
+    lambda: quadratic_level_sum(math.nan, 2.0, 3),
+], ids=["digamma", "trigamma", "tetragamma", "quadratic_level_sum"])
+def test_nan_arguments_fail_the_domain_checks(call):
+    # each domain check is written as "not inside", which a NaN cannot pass
+    with pytest.raises(ValueError):
+        call()
 
 
 @pytest.mark.parametrize("fn, x, expected", [

@@ -126,6 +126,16 @@ def test_sweep_rejects_bad_values_before_writing(tmp_path, capsys, override, mes
     assert not out_dir.exists()
 
 
+
+def test_sweep_rejects_a_grid_that_repeats_a_seed(tmp_path, capsys):
+    # n=16 listed twice would run its seeds twice and report seed_count 4
+    cfg_path = write_config(tmp_path, n=[16, 32, 16], seed_count=2)
+    out_dir = tmp_path / "out"
+    rc, out, err = invoke(capsys, "sweep", "--config", str(cfg_path), "--out", str(out_dir))
+    assert (rc, out) == (2, "")
+    assert err == "error: the n grid repeats a value: [16, 32, 16]\n"
+    assert not out_dir.exists()
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_sweep_rejects_worker_count_below_one(tmp_path, capsys, workers):
     cfg_path = write_config(tmp_path)
@@ -156,6 +166,27 @@ def test_unknown_subcommand_exits_via_argparse(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--n", "8", "--seed", "-1"],
+    ["compare-plateau", "--trials", "2000", "--seed", "-1"],
+    ["verify-probabilities", "--trials", "2000", "--seed", "-5"],
+])
+def test_negative_seeds_for_numpy_name_their_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument --seed: must be >= 0, got {argv[-1]}" in captured.err
+
+
+def test_verify_bounds_takes_a_negative_seed(capsys):
+    # its draws come from random.Random, which takes any integer
+    rc, out, _ = invoke(capsys, "verify-bounds", "--seed", "-5")
+    assert rc == 0
+    assert out.endswith("12/12 checks passed\n")
 
 # --- verification suites --------------------------------------------------
 

@@ -77,6 +77,14 @@ def test_config_validation():
         ExperimentConfig(n_values=(8,), mu_values=(2,), lam_values=(2,), gamma=3)
 
 
+
+@pytest.mark.parametrize("key", ["n", "mu", "lambda"])
+def test_config_rejects_a_repeated_grid_value(key):
+    # the repeat is found after coercion, so 8.0 counts as a second 8
+    raw = {"n": [16], "mu": [2], "lambda": [2], key: [8, 8.0]}
+    with pytest.raises(ValueError, match=f"the {key} grid repeats a value: \\[8, 8\\]"):
+        ExperimentConfig.from_dict(raw)
+
 GRID = {"n": [8], "mu": [2], "lambda": [2]}
 
 
