@@ -33,17 +33,20 @@ It reads lookup tables built once per call (``_SwapTable``), works one trial
 per column, and yields column-major arrays.
 
 ``run`` holds its population as one list of ``(fitness, aux, word)`` records
-after ``init_population`` and builds no ``Individual`` in its loop. Each
-decision is one private rule that it shares with the scalar step, which wraps
-its ``Individual``s as ``(fitness, aux, individual)`` records: ``_pool``
-(``decode_slot`` and ``_winner``), ``_swap``, ``fitness.evaluate_word``,
+after ``init_population`` and builds no ``Individual`` in its loop. Its
+generation is one loop body that writes out each rule of the scalar step:
+``decode_slot`` and ``_winner`` for every slot, ``one_bit_swap``'s exchange,
+the evaluation (``word.bit_count()`` on OneMax, ``fitness.evaluate_word``
+on the plateau function) and ``_replace``'s order and shuffles. It shares
 ``_split`` (the best level ``k`` and the members at and below it) and
-``_replace`` (the replacement order); ``classify_partition``'s rule is
-``_scan``. Its draws take the same values from the generator in the same
-order, so a seed gives the run that repeated ``one_generation`` calls would
-give.
+``_scan`` (``classify_partition``'s rule) with the scalar step, which wraps
+its ``Individual``s as ``(fitness, aux, individual)`` records and keeps each
+rule as its own function. Its draws take the same values from the generator
+in the same order, so a seed gives the run that repeated ``one_generation``
+calls would give; the scalar step is the reference that the tests hold
+``run`` to.
 
-``run`` also knows where the elite ends. ``_replace`` puts the retained members
+``run`` also knows where the elite ends. Replacement puts the retained members
 first, in population order, then the new elite (offspring at ``k``), and every
 entrant after them is below ``k``. So after a generation that does not raise
 ``k`` the next members at ``k`` are the first ``alpha`` records and the rest
@@ -54,7 +57,7 @@ stop test is ``k == spec.max_fitness``.
 A traced ``run`` builds each trace row from the last one with ``_carry``,
 in work that grows with lambda, not mu: the new elite updates ``best_aux``
 and ``alpha_star``; below ``k`` the offspring that entered and the survivors
-that ``_replace``'s shuffle dropped (it shuffles the survivors' list in
+that replacement's shuffle dropped (it shuffles the survivors' list in
 place, so they are its tail) update the best lower level and ``beta1``. It
 scans with ``_scan`` at start-up, after a level gain, when the elite fills
 the population (after every overflow) and when no survivor is left at the
@@ -81,7 +84,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .fitness import FitnessSpec, evaluate_word, make_individual
+from .fitness import ONEMAX, FitnessSpec, evaluate_word, make_individual
 from .genome import (
     Genome,
     Individual,
@@ -89,6 +92,7 @@ from .genome import (
     RandomSource,
     make_rng,
     random_genome,
+    random_genomes,
 )
 
 TERMINATED_OPTIMUM = "optimum"
@@ -219,13 +223,13 @@ def _carry(
     """The trace row and best lower level after a generation that did not
     raise ``k``, from the previous ones and what the generation changed.
 
-    ``pop`` is ``_replace``'s population, its first ``alpha`` members at
-    ``k``, and ``previous`` the survivors it was given, shuffled as it left
-    them. The new elite joined the members at ``k``; below ``k`` the
-    offspring that entered lead ``pop[alpha:]`` and the dropped survivors
-    are the tail of ``previous``. ``alpha`` is below ``mu``, so there was
-    no overflow. Scans, as ``_scan`` does, only when no survivor is left at
-    ``low``.
+    ``pop`` is the next population in ``_replace``'s order, its first
+    ``alpha`` members at ``k``, and ``previous`` the survivors that
+    replacement was given, shuffled as it left them. The new elite joined
+    the members at ``k``; below ``k`` the offspring that entered lead
+    ``pop[alpha:]`` and the dropped survivors are the tail of ``previous``.
+    ``alpha`` is below ``mu``, so there was no overflow. Scans, as ``_scan``
+    does, only when no survivor is left at ``low``.
     """
     mu = len(pop)
     start, beta1, _, alpha_star, k, best_aux = row
@@ -281,16 +285,6 @@ def _winner(records: list[tuple], i: int, j: int, coin: int) -> tuple:
     if b[0] > a[0]:
         return b
     return b if coin else a
-
-
-def _pool(records: list[tuple], n: int, codes: list[int]) -> list[tuple[tuple, int]]:
-    """The pool's tournaments from its slot draws: (winner record, swap position) per slot."""
-    mu = len(records)
-    slots = []
-    for code in codes:
-        i, j, coin, pos = decode_slot(code, mu, n)
-        slots.append((_winner(records, i, j, coin), pos))
-    return slots
 
 
 def _lemire_draw(rng: RandomSource, bound: int, count: int) -> Callable[[], list[int]]:
@@ -360,21 +354,12 @@ def fill_pool(
 
     Each pair carries its two winners' swap positions.
     """
-    codes = rng.integers(0, pop.mu * pop.mu * 2 * n, size=lam).tolist()
-    slots = _pool(_records(pop.members), n, codes)
-    return [(a[2], b[2], i, j) for (a, i), (b, j) in zip(slots[::2], slots[1::2])]
-
-
-def _swap(w1: int, w2: int, i: int, j: int, n: int) -> tuple[int, int] | None:
-    """Words after exchanging bit ``i`` of ``w1`` with bit ``j`` of ``w2``.
-
-    ``None`` when the two bits are equal, which leaves both words as they are.
-    Unequal bits flip one bit of each word.
-    """
-    s1, s2 = n - 1 - i, n - 1 - j
-    if (w1 >> s1) & 1 == (w2 >> s2) & 1:
-        return None
-    return w1 ^ (1 << s1), w2 ^ (1 << s2)
+    records, mu = _records(pop.members), pop.mu
+    slots = []
+    for code in rng.integers(0, mu * mu * 2 * n, size=lam).tolist():
+        i, j, coin, pos = decode_slot(code, mu, n)
+        slots.append((_winner(records, i, j, coin)[2], pos))
+    return [(a, b, i, j) for (a, i), (b, j) in zip(slots[::2], slots[1::2])]
 
 
 def one_bit_swap(
@@ -382,16 +367,18 @@ def one_bit_swap(
 ) -> tuple[Individual, Individual]:
     """Exchange the bit value at position ``i`` of ``p1`` with position ``j`` of ``p2``.
 
-    Equal values leave both genomes as they are, so the parents are returned.
+    Equal values leave both genomes as they are, so the parents are returned;
+    unequal ones flip one bit of each genome.
     """
     n = spec.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"swap positions {i}, {j} out of range for n={n}")
-    words = _swap(p1.genome.word, p2.genome.word, i, j, n)
-    if words is None:
+    m1, m2 = 1 << (n - 1 - i), 1 << (n - 1 - j)
+    w1, w2 = p1.genome.word, p2.genome.word
+    if (w1 & m1 == 0) == (w2 & m2 == 0):
         return p1, p2
-    return (make_individual(spec, Genome(n, words[0])),
-            make_individual(spec, Genome(n, words[1])))
+    return (make_individual(spec, Genome(n, w1 ^ m1)),
+            make_individual(spec, Genome(n, w2 ^ m2)))
 
 
 def _uniform_subset(items: list, k: int, rng: RandomSource) -> list:
@@ -575,7 +562,7 @@ def one_generation_blocks(
 def init_population(config: EngineConfig, rng: RandomSource) -> Population:
     spec = config.spec
     return Population(tuple(
-        make_individual(spec, random_genome(spec.n, rng)) for _ in range(config.mu)
+        make_individual(spec, g) for g in random_genomes(spec.n, config.mu, rng)
     ))
 
 
@@ -583,16 +570,19 @@ def run(config: EngineConfig, seed: int, record_trace: bool = True) -> RunRecord
     """Run to the optimum or the generation cap; trace includes the initial state.
 
     After ``init_population`` the population is a list of ``(fitness, aux,
-    word)`` records, stepped by the rules and draws of ``one_generation``: a
-    seed gives the run that repeated ``one_generation`` calls would give.
+    word)`` records, stepped by one loop that writes out the rules and draws
+    of ``one_generation``: a seed gives the run that repeated
+    ``one_generation`` calls would give.
     """
     rng = make_rng(seed)
     spec = config.spec
     n, mu, lam, cap, top = spec.n, config.mu, config.lam, config.cap, spec.max_fitness
+    onemax = spec.kind == ONEMAX
     pop = [(ind.fitness, ind.aux, ind.genome.word)
            for ind in init_population(config, rng).members]
     k, retained, survivors = _split(pop)
-    draw = _run_draw(rng, mu * mu * 2 * n, lam)
+    draw, shuffle = _run_draw(rng, mu * mu * 2 * n, lam), rng.shuffle
+    masks = [1 << (n - 1 - p) for p in range(n)]
     trace = []
     generations = 0
     if record_trace:
@@ -607,26 +597,60 @@ def run(config: EngineConfig, seed: int, record_trace: bool = True) -> RunRecord
         if generations >= cap:
             terminated = TERMINATED_CAP
             break
-        offspring = []
-        slots = _pool(pop, n, draw())
-        for (a, i), (b, j) in zip(slots[::2], slots[1::2]):
-            pair = _swap(a[2], b[2], i, j, n)
-            if pair is None:
-                offspring += (a, b)
-                continue
-            for word in pair:
-                offspring.append((*evaluate_word(spec, word), word))
-        pop = _replace(k, retained, survivors, offspring, rng)
+        # the offspring at or above ``k`` (the new elite) and below it, in pool order
+        elite, rest = [], []
+        gain = False
+        codes = iter(draw())
+        for c1, c2 in zip(codes, codes):
+            # ``decode_slot`` and ``_winner`` for both slots of the pair
+            q, p1 = divmod(c1, n)
+            q, coin = divmod(q, 2)
+            a, b = pop[q // mu], pop[q % mu]
+            if a[0] < b[0] or coin and a[0] == b[0]:
+                a = b
+            q, p2 = divmod(c2, n)
+            q, coin = divmod(q, 2)
+            b, c = pop[q // mu], pop[q % mu]
+            if b[0] < c[0] or coin and b[0] == c[0]:
+                b = c
+            # ``one_bit_swap``: unequal bits flip one bit of each winner
+            w1, w2, m1, m2 = a[2], b[2], masks[p1], masks[p2]
+            if (w1 & m1 == 0) != (w2 & m2 == 0):
+                w1 ^= m1
+                w2 ^= m2
+                if onemax:
+                    f1, f2 = w1.bit_count(), w2.bit_count()
+                    a, b = (f1, f1, w1), (f2, f2, w2)
+                else:
+                    a, b = (*evaluate_word(spec, w1), w1), (*evaluate_word(spec, w2), w2)
+                if a[0] > k or b[0] > k:
+                    gain = True
+            (elite if a[0] >= k else rest).append(a)
+            (elite if b[0] >= k else rest).append(b)
+        # ``_replace``: shuffled in place, so the survivors it drops are the
+        # tail of ``survivors``
+        pop = retained + elite
+        if len(pop) > mu:
+            shuffle(pop)
+            del pop[mu:]
+        else:
+            space = mu - len(pop)
+            if 0 < space < len(rest):
+                shuffle(rest)
+            pop += rest[:space]
+            space = mu - len(pop)
+            if 0 < space < len(survivors):
+                shuffle(survivors)
+            pop += survivors[:space]
         generations += 1
-        off_fitness = list(map(_FITNESS, offspring))
-        if max(off_fitness) > k:
+        if gain:
             k, retained, survivors = _split(pop)
             if record_trace:
                 row, low = _scan(k, retained, survivors)
         else:
             # no level gain: the retained members and the new elite lead
             # ``pop`` and everything after them is below ``k``
-            alpha = min(mu, len(retained) + off_fitness.count(k))
+            alpha = min(mu, len(retained) + len(elite))
             if record_trace:
                 # a full elite is scanned: after an overflow a shuffle chose
                 # which members at ``k`` stayed

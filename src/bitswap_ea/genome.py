@@ -64,14 +64,22 @@ class Genome:
         return format(self.word, f"0{self.n}b")
 
 
-def random_genome(n: int, rng: RandomSource) -> Genome:
-    """Uniform random genome: each bit drawn independently fair."""
+def random_genomes(n: int, count: int, rng: RandomSource) -> list[Genome]:
+    """``count`` uniform random genomes, each bit drawn independently fair.
+
+    One ``rng.integers(0, 2, size=(count, n))`` call, a genome per row: the
+    values and generator state of ``count`` calls with ``size=n``.
+    """
     if n < 1:
         raise ValueError(f"genome length must be >= 1, got {n}")
-    bits = np.asarray(rng.integers(0, 2, size=n), dtype=np.uint8)
-    packed = np.packbits(bits)
+    packed = np.packbits(rng.integers(0, 2, size=(count, n)).astype(np.uint8), axis=1)
     pad = (8 - n % 8) % 8
-    return Genome(n, int.from_bytes(packed.tobytes(), "big") >> pad)
+    return [Genome(n, int.from_bytes(row.tobytes(), "big") >> pad) for row in packed]
+
+
+def random_genome(n: int, rng: RandomSource) -> Genome:
+    """Uniform random genome: ``random_genomes``' one-member case."""
+    return random_genomes(n, 1, rng)[0]
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,6 +9,7 @@ from bitswap_ea.genome import (
     make_rng,
     mix_seed,
     random_genome,
+    random_genomes,
 )
 
 
@@ -62,6 +63,19 @@ def test_random_genome_length_and_range(n, seed):
     g = random_genome(n, make_rng(seed))
     assert g.n == n
     assert 0 <= g.word < (1 << n)
+
+
+@pytest.mark.parametrize("count, n", [(2, 32), (3, 7), (64, 128), (5, 33), (4, 1), (1, 9)])
+def test_random_genomes_draw_as_one_call_per_genome(count, n):
+    # one (count, n) draw gives the genomes, in order, and the generator state
+    # of count draws of n bits, each bit string read leftmost first
+    for seed in range(50):
+        ours, ref = make_rng(seed), make_rng(seed)
+        expected = [Genome.from_string("".join(map(str, ref.integers(0, 2, size=n))))
+                    for _ in range(count)]
+        assert random_genomes(n, count, ours) == expected
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert random_genome(n, make_rng(seed)) == expected[0]
 
 
 def test_random_genome_bit_balance():

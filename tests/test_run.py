@@ -1,7 +1,11 @@
 """Whole runs: ``run`` against the public scalar step, fixed values, exact E[T].
 
-``run`` holds its population as plain ints but must give, seed for seed, the
-run that repeated ``one_generation`` calls give. These tests pin that stream.
+``run`` holds its population as plain ints and writes the tournament, swap,
+evaluation and replacement out in one loop, but must give, seed for seed, the
+run that repeated ``one_generation`` calls give. The scalar step keeps each of
+those rules as its own function (``fill_pool``, ``one_bit_swap``,
+``replace``), so holding ``run`` to it checks the rules, not only the
+bookkeeping. These tests pin that stream.
 """
 
 import math
@@ -72,10 +76,13 @@ def reference_run(config: EngineConfig, seed: int, record_trace: bool = True) ->
         (EngineConfig(FitnessSpec.plateau(12, 3), 4, 4, generation_cap=5), True, SEEDS),
         (EngineConfig(FitnessSpec.onemax(32), 2, 2, generation_cap=5), True, SEEDS),
         (EngineConfig(FitnessSpec.onemax(32), 2, 2), False, SEEDS),
+        (EngineConfig(FitnessSpec.plateau(12, 3), 4, 4), False, SEEDS),
+        (EngineConfig(FitnessSpec.onemax(12), 3, 6), False, SEEDS),
     ],
     ids=["onemax32-2-2", "onemax12-3-6", "onemax64-16-2", "onemax128-64-2",
          "plateau12g3-4-4", "plateau12g1-4-4", "plateau16g4-8-6", "onemax128-32-2",
-         "plateau24g3-12-8", "plateau-cap5", "onemax-cap5", "onemax-untraced"],
+         "plateau24g3-12-8", "plateau-cap5", "onemax-cap5", "onemax-untraced",
+         "plateau-untraced", "onemax12-3-6-untraced"],
 )
 def test_run_equals_the_public_step_seed_for_seed(config, record_trace, seeds):
     # seed 34 of plateau16g4-8-6 falls into the absorbing all-zero population
