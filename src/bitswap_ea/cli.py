@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="override the config's out_dir")
     p.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)),
-                   help="worker processes (default: the usable CPUs)")
+                   help="processes, this one included (default: the usable CPUs)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify-probabilities",

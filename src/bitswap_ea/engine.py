@@ -14,7 +14,7 @@ this is the same law as one draw per decision. The public step draws with one
 leaving the same generator state, with ``_lemire_draw`` (numpy's Lemire step in
 Python, without the sized call's overhead) when the pool has at most
 ``LEMIRE_MAX_LAMBDA`` slots and the guard ``_lemire_matches_numpy`` passed at
-the process's first draw (a pooled sweep runs it before its workers fork);
+the process's first draw (a sweep with workers runs it before it forks);
 otherwise with the sized call. ``replace`` then
 takes a uniform ``k``-subset of ``m`` entrants as the first ``k`` of one
 ``rng.shuffle`` of their list, and draws nothing when ``k`` is 0 or
@@ -64,8 +64,8 @@ the population (after every overflow) and when no survivor is left at the
 best lower level. An untraced ``run`` keeps none of these counts.
 
 Trace rows are ``ElitismPartition`` named tuples. A pickled ``RunRecord``
-carries its trace as one flat tuple of ints, six per row, which the sweep
-pool's workers send back far faster than a list of row objects.
+carries its trace as one flat tuple of ints, six per row, which a sweep's
+forked children send back far faster than a list of row objects.
 
 Evaluation accounting is fixed at ``mu`` initial evaluations plus ``2*lambda``
 per generation (two competitors per pool slot). It is the algorithm's charge,

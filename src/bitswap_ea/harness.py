@@ -12,10 +12,11 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import numbers
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,11 +152,15 @@ def run_sweep(
 ) -> list[RunRecord]:
     """One run per (n, mu, lambda, seed) cell, in grid order.
 
-    Each run is one job. With ``workers > 1`` the pool takes the jobs in
+    Each run is one job. This process and ``min(workers, runs) - 1`` forked
+    children take the jobs one at a time from one shared counter, in
     descending expected cost, so the longest runs start first and the short
-    ones fill in behind them; the records come back in grid order. The draw
-    guard runs here before the pool forks, so its workers inherit the
-    verdict instead of each running it.
+    ones fill in behind them. Each child sends its records back once, when
+    the counter runs out; the records come back in grid order. The draw guard
+    runs here before the fork, so the children inherit the verdict instead of
+    each running it. A job's exception, or a child that exits without sending
+    its records (``RuntimeError``), raises here after every child has been
+    stopped and joined.
     """
     check_workers(workers)
     jobs = []
@@ -163,15 +168,71 @@ def run_sweep(
         engine = EngineConfig(config.fitness_spec(n), mu, lam, config.generation_cap)
         jobs += [(engine, config.cell_seed(n, mu, lam, i), record_trace)
                  for i in range(config.seed_count)]
-    # the fork start method launches every worker at once, idle or not
-    workers = min(workers, len(jobs))
-    if workers <= 1:
-        return [run(*job) for job in jobs]
     order = sorted(range(len(jobs)), key=lambda k: -_expected_cost(jobs[k][0]))
     _lemire_matches_numpy()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        done = dict(zip(order, pool.map(run, *zip(*(jobs[k] for k in order)))))
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("l", 0)
+    children = []
+    try:
+        for _ in range(min(workers, len(jobs)) - 1):
+            receive, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_jobs, args=(jobs, order, counter, send))
+            child.start()
+            send.close()
+            children.append((child, receive))
+        done = _take_jobs(jobs, order, counter)
+        for child, receive in children:
+            try:
+                part = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a sweep process exited with code {child.exitcode} "
+                                   "without sending its runs") from None
+            if isinstance(part, BaseException):
+                raise part
+            done.update(part)
+    except BaseException:
+        _stop(counter, len(jobs))
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, _ in children:
+            child.join()
     return [done[k] for k in range(len(jobs))]
+
+
+def _take_jobs(jobs: list[tuple], order: list[int], counter) -> dict[int, RunRecord]:
+    """``{job index: record}`` for each job that ``counter`` hands this
+    process, until it passes the last job."""
+    done = {}
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(jobs):
+            return done
+        done[order[i]] = run(*jobs[order[i]])
+
+
+def _stop(counter, end: int) -> None:
+    """Move the job counter past the last job, so no process takes another."""
+    with counter.get_lock():
+        counter.value = end
+
+
+def _send_jobs(jobs: list[tuple], order: list[int], counter, send) -> None:
+    """A child's whole work: send its ``_take_jobs`` records once, or the
+    exception that stopped them, with the child's traceback as a note, after
+    stopping the other processes."""
+    try:
+        part = _take_jobs(jobs, order, counter)
+    except BaseException as exc:
+        _stop(counter, len(jobs))
+        exc.add_note("raised in a sweep child process at\n"
+                     + "".join(traceback.format_tb(exc.__traceback__)).rstrip())
+        part = exc
+    send.send(part)
 
 
 @dataclass(frozen=True, slots=True)

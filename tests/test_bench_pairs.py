@@ -23,7 +23,7 @@ def _runs(rate: dict[str, list[float]], wall: dict[str, list[float]]) -> list[di
     for seed in range(len(rate["parent"])):
         for side in ("parent", "change"):
             metrics = {"rate": {"value": rate[side][seed]}, "wall": {"value": wall[side][seed]}}
-            runs.append({"workload": "w", "seed": seed, "side": side,
+            runs.append({"workload": "w", "seed": seed, "side": side, "checks_failed": [],
                          "result": {"correct": True, "failed": 0, "metrics": metrics}})
     return runs
 
@@ -74,3 +74,43 @@ def test_within_bound_on_a_lower_is_better_metric(wall, inside):
     table = _summary(PARENT_RATE, [wall] * 10)
     assert table["wall"]["within_bound"] is inside
     assert table["wall"]["change_wins"] == 0 and not table["wall"]["claim_met"]
+
+
+R2_ALARM = "check failed: fit r_squared ['0.978229'] below 0.98"
+
+
+def _runs_with_checks(parent: list[str], change: list[str]) -> list[dict]:
+    runs = _runs({"parent": PARENT_RATE[:2], "change": PARENT_RATE[:2]},
+                 {"parent": [1.0] * 2, "change": [1.0] * 2})
+    for run, checks in zip(runs[2:], (parent, change)):
+        run["checks_failed"] = checks
+        run["result"]["correct"] = not checks
+    return runs
+
+
+def test_a_failed_check_that_the_parent_shares_is_marked_shared():
+    table = bench_pairs.summarize(_runs_with_checks([R2_ALARM], [R2_ALARM]), METRICS)["w"]
+    assert table["checks_failed"] == [
+        {"seed": 1, "side": "parent", "line": R2_ALARM, "other_side_same": True},
+        {"seed": 1, "side": "change", "line": R2_ALARM, "other_side_same": True},
+    ]
+    assert table["all_correct"] == {"parent": False, "change": False}
+
+
+def test_a_failed_check_on_the_change_alone_is_marked_its_own():
+    own = "check failed: run_sweep returned 59 runs, expected 60"
+    table = bench_pairs.summarize(_runs_with_checks([R2_ALARM], [own]), METRICS)["w"]
+    assert table["checks_failed"] == [
+        {"seed": 1, "side": "parent", "line": R2_ALARM, "other_side_same": False},
+        {"seed": 1, "side": "change", "line": own, "other_side_same": False},
+    ]
+    assert table["all_correct"] == {"parent": False, "change": False}
+
+
+def test_a_failed_check_whose_other_side_has_not_run_is_marked_unknown():
+    # the change's run at seed 1 is missing, as after an interrupted invocation
+    runs = _runs_with_checks([R2_ALARM], [])[:-1]
+    table = bench_pairs.summarize(runs, METRICS)["w"]
+    assert table["checks_failed"] == [
+        {"seed": 1, "side": "parent", "line": R2_ALARM, "other_side_same": None},
+    ]

@@ -1,6 +1,8 @@
 import json
 import math
+import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -177,61 +179,124 @@ def test_sweep_is_deterministic():
 
 
 def test_parallel_sweep_matches_serial():
-    # the pool takes runs in descending mu*n*ln(n), which this grid's order
-    # is not, and must hand the records back in grid order
+    # the processes take runs in descending mu*n*ln(n), which this grid's
+    # order is not, and must hand the records back in grid order, traces
+    # included, at every worker count
     config = ExperimentConfig(
         n_values=(16, 32, 8), mu_values=(3, 2), lam_values=(2,), seed_count=2,
         base_seed=17,
     )
     serial = run_sweep(config, workers=1, record_trace=True)
-    parallel = run_sweep(config, workers=2, record_trace=True)
-    assert parallel == serial
-    # rows rebuilt as plain tuples would still compare equal
-    assert all(type(row) is ElitismPartition for rec in parallel for row in rec.trace)
+    for workers in (2, 3, 64):
+        parallel = run_sweep(config, workers=workers, record_trace=True)
+        assert parallel == serial
+        # rows rebuilt as plain tuples would still compare equal
+        assert all(type(row) is ElitismPartition for rec in parallel for row in rec.trace)
     assert [rec.seed for rec in serial] == [
         config.cell_seed(n, mu, lam, i)
         for n, mu, lam in config.cells() for i in range(config.seed_count)
     ]
 
 
-def test_pooled_sweep_runs_the_draw_guard_before_its_workers_fork():
+def test_pooled_sweep_runs_the_draw_guard_before_its_workers_fork(monkeypatch):
     config = ExperimentConfig(n_values=(16,), mu_values=(2,), lam_values=(2,),
                               seed_count=4, base_seed=21)
+    real_run = harness.run
+
+    def guarded_run(*job):
+        # in a child, a filled cache can only come from the guard's call
+        # before the fork, which the child inherits
+        if engine._lemire_matches_numpy.cache_info().currsize != 1:
+            raise AssertionError("a job started before the draw guard ran")
+        return real_run(*job)
+
     engine._lemire_matches_numpy.cache_clear()
-    records = run_sweep(config, workers=2, record_trace=True)
-    # this process never draws in a pooled sweep, so only the guard's own
-    # call before the fork can have filled its cache
+    monkeypatch.setattr(harness, "run", guarded_run)
+    records = run_sweep(config, workers=3, record_trace=True)
     assert engine._lemire_matches_numpy.cache_info().currsize == 1
+    monkeypatch.undo()
     assert records == run_sweep(config, record_trace=True)
 
 
 def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
-    sizes = []
+    started = []
+    real_start = multiprocessing.context.ForkProcess.start
 
-    class RecordingPool:
-        """``ProcessPoolExecutor`` that records its size and maps in this process."""
+    def recording_start(self):
+        started.append(self)
+        real_start(self)
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recording_start)
     base = dict(n_values=(16,), mu_values=(2,), lam_values=(2,), base_seed=8)
     three = ExperimentConfig(seed_count=3, **base)
-    assert run_sweep(three, workers=64, record_trace=True) == run_sweep(three, record_trace=True)
-    assert sizes == [3]
-    # one run: no pool at all
+    serial = run_sweep(three, record_trace=True)
+    assert started == []
+    # three runs: this process and two children, however many are asked for
+    assert run_sweep(three, workers=64, record_trace=True) == serial
+    assert len(started) == 2
+    assert run_sweep(three, workers=2, record_trace=True) == serial
+    assert len(started) == 3
+    # one run: no child at all
     one = ExperimentConfig(seed_count=1, **base)
     assert run_sweep(one, workers=64) == run_sweep(one)
-    assert sizes == [3]
+    assert len(started) == 3
+    assert multiprocessing.active_children() == []
+
+
+class JobFailed(Exception):
+    """A job's own exception type, which must reach the caller unchanged."""
+
+
+FOUR_RUNS = ExperimentConfig(n_values=(16,), mu_values=(2,), lam_values=(2,),
+                             seed_count=4, base_seed=5)
+
+
+def _failing_run(monkeypatch, fail_in_parent: bool, failure):
+    """Patch ``harness.run`` (the forked children inherit the patch) so that
+    jobs in the process on one side call ``failure``. The parent's jobs wait
+    first, so the children take jobs too; a child's job that does not fail
+    sleeps far longer than a test may take, so only stopping the child ends
+    it in time."""
+    parent = os.getpid()
+    real_run = harness.run
+
+    def run(*job):
+        in_parent = os.getpid() == parent
+        if in_parent:
+            time.sleep(0.2)
+        if in_parent == fail_in_parent:
+            failure()
+        if not in_parent:
+            time.sleep(60)
+        return real_run(*job)
+
+    monkeypatch.setattr(harness, "run", run)
+
+
+def _raise_job_failed():
+    raise JobFailed("run 3 broke")
+
+
+@pytest.mark.parametrize("fail_in_parent", [True, False])
+def test_a_jobs_exception_reaches_the_caller_and_no_process_is_left(monkeypatch,
+                                                                    fail_in_parent):
+    _failing_run(monkeypatch, fail_in_parent, _raise_job_failed)
+    start = time.perf_counter()
+    with pytest.raises(JobFailed, match="run 3 broke") as caught:
+        run_sweep(FOUR_RUNS, workers=2)
+    assert time.perf_counter() - start < 10
+    assert multiprocessing.active_children() == []
+    # a child's exception carries the child's traceback
+    from_child = any("raised in a sweep child process" in note
+                     for note in getattr(caught.value, "__notes__", []))
+    assert from_child is not fail_in_parent
+
+
+def test_a_child_that_exits_without_its_runs_raises_with_its_exit_code(monkeypatch):
+    _failing_run(monkeypatch, False, lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3 without sending its runs"):
+        run_sweep(FOUR_RUNS, workers=3)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("workers", [0, -3])

@@ -24,7 +24,11 @@ fraction of the parent's median; every run's JSON result with its seed, side, th
 checks it reported failed, its number of rounds (the ``round N:`` lines that
 ``perfbench/run.py`` prints to stderr, so how many per-round checks the run
 faced) and the number of ``__pycache__`` directories removed before it; and the
-host's CPU count with the Python and numpy versions. The file is rewritten
+host's CPU count with the Python and numpy versions. Each workload's summary
+also lists every ``check failed:`` line of its runs, with the seed, the side
+and whether the other side printed the same line at that seed (``null`` while
+it has not run there), so that a statistical false alarm which the parent
+shares stands apart from a failure of the change's own. The file is rewritten
 after every run, so an interrupted invocation keeps the pairs it finished.
 """
 
@@ -44,6 +48,7 @@ import time
 import numpy as np
 
 SIDES = ("parent", "change")
+OTHER_SIDE = {"parent": "change", "change": "parent"}
 
 # ``perfbench/run.py`` prints one such line per round to stderr
 ROUND_LINE = re.compile(r"round \d+: ")
@@ -102,18 +107,20 @@ def _spread(values: list[float]) -> dict:
 def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
     """Per workload and metric: each side's spread, the change's wins, the
     ratio of medians and the two verdicts, over the pairs in which both
-    sides succeeded. ``metrics`` maps each name to its ``BENCHMARK.json``
-    entry, of which ``better`` and ``bound`` are read."""
+    sides succeeded, and the workload's ``failed_checks`` over all its runs.
+    ``metrics`` maps each name to its ``BENCHMARK.json`` entry, of which
+    ``better`` and ``bound`` are read."""
     pairs: dict[tuple[str, int], dict[str, dict]] = {}
     for run in runs:
         if run["result"] is not None:
             pairs.setdefault((run["workload"], run["seed"]), {})[run["side"]] = run["result"]
     out: dict[str, dict] = {}
-    for workload in dict.fromkeys(w for w, _ in pairs):
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        table = {"checks_failed": failed_checks([r for r in runs if r["workload"] == workload])}
+        out[workload] = table
         both = [p for (w, _), p in pairs.items() if w == workload and len(p) == 2]
         if not both:
             continue
-        table = {}
         for metric, spec in metrics.items():
             better = spec["better"]
             values = {side: [p[side]["metrics"][metric]["value"] for p in both] for side in SIDES}
@@ -135,7 +142,20 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
             side: all(p[side]["correct"] and p[side]["failed"] == 0 for p in both)
             for side in SIDES
         }
-        out[workload] = table
+    return out
+
+
+def failed_checks(runs: list[dict]) -> list[dict]:
+    """Every ``check failed:`` line of one workload's runs, with its seed and
+    side and whether the other side's run at that seed printed the same line
+    (``None`` when that run is missing)."""
+    lines = {(run["seed"], run["side"]): run["checks_failed"] for run in runs}
+    out = []
+    for (seed, side), checks in lines.items():
+        other = lines.get((seed, OTHER_SIDE[side]))
+        out += [{"seed": seed, "side": side, "line": line,
+                 "other_side_same": None if other is None else line in other}
+                for line in checks]
     return out
 
 
