@@ -173,12 +173,8 @@ class PolynomialLevelSum:
     shift inside the polygamma domain.
     """
 
-    degree: int
-    coefficients: tuple[float, ...]
-    m: int
     value: float
     closed_form: float | None = None
-    shift: float | None = None
 
 
 _PATTERN_TOL = 1e-10
@@ -198,14 +194,11 @@ def quadratic_level_sum(b0: float, b1: float, m: int) -> PolynomialLevelSum:
     value = math.fsum(1.0 / q(a) for a in range(1, m + 1))
 
     closed = None
-    shift = None
     scale = max(1.0, b1 * b1, abs(b0))
-    if abs(b1 * b1 - 4 * b0) <= _PATTERN_TOL * scale:
-        r = b1 / 2
-        if r > -1:
-            shift = r
-            closed = trigamma(r + 1) - trigamma(r + m + 1)
-    return PolynomialLevelSum(2, (b0, b1), m, value, closed, shift)
+    r = b1 / 2
+    if abs(b1 * b1 - 4 * b0) <= _PATTERN_TOL * scale and r > -1:
+        closed = trigamma(r + 1) - trigamma(r + m + 1)
+    return PolynomialLevelSum(value, closed)
 
 
 def cubic_level_sum(b0p: float, b1p: float, b2p: float, m: int) -> PolynomialLevelSum:
@@ -227,7 +220,6 @@ def cubic_level_sum(b0p: float, b1p: float, b2p: float, m: int) -> PolynomialLev
     value = math.fsum(1.0 / c(a) for a in range(1, m + 1))
 
     closed = None
-    shift = None
     rho = b2p / 3
     scale = max(1.0, abs(b2p) ** 2, abs(b1p), abs(b0p))
     if (
@@ -235,9 +227,8 @@ def cubic_level_sum(b0p: float, b1p: float, b2p: float, m: int) -> PolynomialLev
         and abs(b0p - rho**3) <= _PATTERN_TOL * scale
         and rho > -1
     ):
-        shift = rho
         closed = (tetragamma(rho + m + 1) - tetragamma(rho + 1)) / 2
-    return PolynomialLevelSum(3, (b0p, b1p, b2p), m, value, closed, shift)
+    return PolynomialLevelSum(value, closed)
 
 
 def _require_positive(poly, lo: float, hi: float, critical: list[float]) -> None:
@@ -286,17 +277,13 @@ class BoundParams:
 
     ``delta`` is the elite-fraction target; the bounds are derived for
     ``delta * mu >= 1`` but smaller values are accepted since they only scale
-    the closed forms. ``c`` or ``eps1``/``eps2`` mark which asymptotic regime
-    produced ``delta``.
+    the closed forms.
     """
 
     mu: int
     lam: int
     n: int
     delta: float
-    c: float | None = None
-    eps1: float | None = None
-    eps2: float | None = None
 
     def __post_init__(self) -> None:
         if self.mu < 1:
@@ -315,7 +302,7 @@ class BoundParams:
         """delta = c / mu regime."""
         if c <= 0:
             raise ValueError(f"c must be > 0, got {c}")
-        return cls(mu, lam, n, c / mu, c=c)
+        return cls(mu, lam, n, c / mu)
 
     @classmethod
     def power_law_elite_fraction(
@@ -324,13 +311,7 @@ class BoundParams:
         """delta = mu^(-eps1) regime; the bound exponent is 1 + eps2 = 2 - eps1."""
         if not 0 < eps1 < 1:
             raise ValueError(f"eps1 must be in (0, 1), got {eps1}")
-        return cls(mu, lam, n, mu ** (-eps1), eps1=eps1, eps2=1 - eps1)
-
-    @property
-    def label(self) -> str:
-        if self.eps1 is not None:
-            return "O(mu^(1+eps2) n log n)"
-        return "O(mu n log n)"
+        return cls(mu, lam, n, mu ** (-eps1))
 
 
 def simple_traverse_bound(params: BoundParams, k: int) -> float:
@@ -352,27 +333,18 @@ def refined_traverse_bound(params: BoundParams, k: int) -> float:
 class RuntimeBound:
     """Exact finite-sum bound next to its asymptotic approximation.
 
-    ``generations`` is the summed bound; ``asymptotic_generations`` the leading
-    log form; evaluation figures are 2*lambda times the generation figures.
-    The two are reported side by side, never substituted for one another.
+    ``generations`` is the summed bound and ``asymptotic_generations`` the
+    leading log form, reported side by side, never substituted for one
+    another; ``evaluations`` is 2*lambda times ``generations``.
     """
 
-    kind: str
     params: BoundParams
-    k_lo: int
-    k_hi: int
-    inner_sum: float
     generations: float
     asymptotic_generations: float
-    label: str
 
     @property
     def evaluations(self) -> float:
         return 2 * self.params.lam * self.generations
-
-    @property
-    def asymptotic_evaluations(self) -> float:
-        return 2 * self.params.lam * self.asymptotic_generations
 
     @property
     def ratio(self) -> float:
@@ -391,7 +363,7 @@ def simple_runtime_bound(params: BoundParams) -> RuntimeBound:
     inner = math.fsum(1.0 / ((k - 1) * (n - k + 1)) for k in range(2, n - 1))
     gens = params.mu**3 * n * n * params.delta / params.lam * inner
     asym = params.delta * params.mu**3 * n / params.lam * 2 * math.log(n - 1)
-    return RuntimeBound("simple", params, 2, n - 2, inner, gens, asym, params.label)
+    return RuntimeBound(params, gens, asym)
 
 
 def refined_runtime_bound(params: BoundParams) -> RuntimeBound:
@@ -410,4 +382,4 @@ def refined_runtime_bound(params: BoundParams) -> RuntimeBound:
     )
     gens = 2 * params.delta * mu**3 / params.lam * inner
     asym = 2 * params.delta * mu * mu * n * math.log(n - 3) / params.lam
-    return RuntimeBound("refined", params, 3, n - 1, inner, gens, asym, params.label)
+    return RuntimeBound(params, gens, asym)

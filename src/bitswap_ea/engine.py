@@ -24,27 +24,23 @@ two generator calls. numpy runs the same Fisher-Yates pass for
 and the generator's state after it are those of indexing through
 ``rng.permutation(m)``.
 
-``one_generation_blocks`` steps one fixed population through many independent
-generations at once, for the Monte-Carlo oracles. Per block of at most
-``batch_rows(mu, lambda)`` trials it makes one ``rng.integers`` call for the
-block's pools and one ``rng.random`` call for its replacement keys, so its
-stream is its own; the scalar step above stays the reference for the kernel.
-It reads lookup tables built once per call (``_SwapTable``), works one trial
-per column, and yields column-major arrays.
-
-``run`` holds its population as one list of ``(fitness, aux, word)`` records
-after ``init_population`` and builds no ``Individual`` in its loop. Its
-generation is one loop body that writes out each rule of the scalar step:
-``decode_slot`` and ``_winner`` for every slot, ``one_bit_swap``'s exchange,
-the evaluation (``word.bit_count()`` on OneMax, ``fitness.evaluate_word``
-on the plateau function) and ``_replace``'s order and shuffles. It shares
-``_split`` (the best level ``k`` and the members at and below it) and
-``_scan`` (``classify_partition``'s rule) with the scalar step, which wraps
-its ``Individual``s as ``(fitness, aux, individual)`` records and keeps each
-rule as its own function. Its draws take the same values from the generator
-in the same order, so a seed gives the run that repeated ``one_generation``
-calls would give; the scalar step is the reference that the tests hold
-``run`` to.
+Three paths write out one generation, each for its own use. The scalar
+step (``fill_pool``, ``one_bit_swap`` and ``replace``, composed by
+``one_generation``) keeps each rule as its own function on ``Individual``s;
+the tests hold the other two to it. ``run`` steps whole runs: after
+``init_population`` it holds its population as ``(fitness, aux, word)``
+records and writes every rule of the scalar step out in one loop body, with
+the same draws in the same order, so a seed gives the run that repeated
+``one_generation`` calls would give. It shares ``_split`` (the best level
+``k`` and the members at and below it) and ``_scan`` (``classify_partition``'s
+rule) with the scalar step. ``one_generation_blocks`` steps one fixed
+population through many independent generations at once, for the
+Monte-Carlo oracles, and shares ``decode_slot`` and ``_winner`` (the
+tournament on a list of fitness values) with the scalar step. Per block of
+at most ``batch_rows(mu, lambda)`` trials it makes one ``rng.integers`` call
+for the pools and one ``rng.random`` call for the replacement keys, so its
+stream is its own. It reads lookup tables built once per call
+(``_SwapTable``), works one trial per column, and yields column-major arrays.
 
 ``run`` also knows where the elite ends. Replacement puts the retained members
 first, in population order, then the new elite (offspring at ``k``), and every
@@ -106,8 +102,8 @@ INT64_MAX = 2**63 - 1
 # trial count nor with the population.
 BATCH_ENTRANTS = 8192
 
-# A record is one member or offspring as ``(fitness, aux, word)`` in ``run``,
-# or ``(fitness, aux, individual)`` in the public scalar step.
+# A record is one member or offspring as ``(fitness, aux, word)`` in ``run``;
+# ``classify_partition`` gives ``_split`` ``(fitness, aux)`` pairs.
 _FITNESS = itemgetter(0)
 _AUX = itemgetter(1)
 
@@ -223,7 +219,7 @@ def _carry(
     """The trace row and best lower level after a generation that did not
     raise ``k``, from the previous ones and what the generation changed.
 
-    ``pop`` is the next population in ``_replace``'s order, its first
+    ``pop`` is the next population in ``replace``'s order, its first
     ``alpha`` members at ``k``, and ``previous`` the survivors that
     replacement was given, shuffled as it left them. The new elite joined
     the members at ``k``; below ``k`` the offspring that entered lead
@@ -255,13 +251,8 @@ def _carry(
     return ElitismPartition._make(row), low
 
 
-def _records(members) -> list[tuple]:
-    """``Individual``s as ``(fitness, aux, individual)`` records."""
-    return [(ind.fitness, ind.aux, ind) for ind in members]
-
-
 def classify_partition(pop: Population) -> ElitismPartition:
-    return _scan(*_split(_records(pop.members)))[0]
+    return _scan(*_split([(ind.fitness, ind.aux) for ind in pop.members]))[0]
 
 
 def decode_slot(code: int, mu: int, n: int) -> tuple[int, int, int, int]:
@@ -277,14 +268,14 @@ def decode_slot(code: int, mu: int, n: int) -> tuple[int, int, int, int]:
     return i, j, coin, pos
 
 
-def _winner(records: list[tuple], i: int, j: int, coin: int) -> tuple:
-    """Records ``i`` and ``j`` compete; higher fitness wins, ``coin`` breaks ties."""
-    a, b = records[i], records[j]
-    if a[0] > b[0]:
-        return a
-    if b[0] > a[0]:
-        return b
-    return b if coin else a
+def _winner(fitness: list[int], i: int, j: int, coin: int) -> int:
+    """The index of the winner when members ``i`` and ``j``, of the given
+    ``fitness`` values, compete: higher fitness wins, ``coin`` breaks ties."""
+    if fitness[i] > fitness[j]:
+        return i
+    if fitness[j] > fitness[i]:
+        return j
+    return j if coin else i
 
 
 def _lemire_draw(rng: RandomSource, bound: int, count: int) -> Callable[[], list[int]]:
@@ -344,7 +335,8 @@ def _run_draw(rng: RandomSource, bound: int, count: int) -> Callable[[], list[in
 
 def tournament_select(pop: Population, i: int, j: int, coin: int) -> Individual:
     """Members ``i`` and ``j`` compete; higher fitness wins, ``coin`` breaks ties."""
-    return _winner(_records(pop.members), i, j, coin)[2]
+    members = pop.members
+    return members[_winner([ind.fitness for ind in members], i, j, coin)]
 
 
 def fill_pool(
@@ -354,12 +346,14 @@ def fill_pool(
 
     Each pair carries its two winners' swap positions.
     """
-    records, mu = _records(pop.members), pop.mu
-    slots = []
+    members, mu = pop.members, pop.mu
+    fitness = [ind.fitness for ind in members]
+    winners, positions = [], []
     for code in rng.integers(0, mu * mu * 2 * n, size=lam).tolist():
         i, j, coin, pos = decode_slot(code, mu, n)
-        slots.append((_winner(records, i, j, coin)[2], pos))
-    return [(a, b, i, j) for (a, i), (b, j) in zip(slots[::2], slots[1::2])]
+        winners.append(members[_winner(fitness, i, j, coin)])
+        positions.append(pos)
+    return list(zip(winners[::2], winners[1::2], positions[::2], positions[1::2]))
 
 
 def one_bit_swap(
@@ -381,40 +375,6 @@ def one_bit_swap(
             make_individual(spec, Genome(n, w2 ^ m2)))
 
 
-def _uniform_subset(items: list, k: int, rng: RandomSource) -> list:
-    """A uniform ``k``-subset of ``items`` (all of them when ``k >= len(items)``).
-
-    Draws only when ``0 < k < len(items)``: shuffles ``items`` in place and
-    returns its first ``k``, so the ones it drops are its tail. The same
-    elements, order and draws as ``[items[i] for i in rng.permutation(m)[:k]]``.
-    """
-    if 0 < k < len(items):
-        rng.shuffle(items)
-    return items[:k]
-
-
-def _replace(
-    k: int, retained: list[tuple], survivors: list[tuple], offspring: list[tuple],
-    rng: RandomSource,
-) -> list[tuple]:
-    """``replace``'s rule on records: the next population, in order.
-
-    ``k``, ``retained`` and ``survivors`` are ``_split`` of the members. The
-    order is retained members, new elite (offspring at or above ``k``), a
-    subset of the other offspring, then a subset of the survivors; on overflow
-    it is a uniform ``mu``-subset of retained plus new elite. Each subset is
-    ``_uniform_subset``'s, which shuffles its list in place, so the survivors
-    it drops are the tail of ``survivors``.
-    """
-    mu = len(retained) + len(survivors)
-    pop = retained + [o for o in offspring if o[0] >= k]
-    if len(pop) > mu:
-        return _uniform_subset(pop, mu, rng)
-    rest = [o for o in offspring if o[0] < k]
-    pop += _uniform_subset(rest, mu - len(pop), rng)
-    return pop + _uniform_subset(survivors, mu - len(pop), rng)
-
-
 def replace(
     pop: Population, offspring: list[Individual], rng: RandomSource
 ) -> Population:
@@ -426,10 +386,24 @@ def replace(
     offspring overflow ``mu``, a uniform ``mu``-subset of that combined elite
     survives. If the offspring run out before the population is full,
     uniformly chosen non-elite survivors stay.
+
+    The next population is in this order: retained members, new elite, then
+    the other offspring, then the survivors.
     """
-    kept = _replace(*_split(_records(pop.members)), _records(offspring), rng)
-    assert len(kept) == pop.mu
-    return Population(tuple(r[2] for r in kept))
+    mu, members = pop.mu, pop.members
+    k = max(ind.fitness for ind in members)
+    kept = [ind for ind in members if ind.fitness == k] + [o for o in offspring if o.fitness >= k]
+    if len(kept) > mu:
+        rng.shuffle(kept)
+        del kept[mu:]
+    for rest in ([o for o in offspring if o.fitness < k],
+                 [ind for ind in members if ind.fitness < k]):
+        space = mu - len(kept)
+        if 0 < space < len(rest):
+            rng.shuffle(rest)
+        kept += rest[:space]
+    assert len(kept) == mu
+    return Population(tuple(kept))
 
 
 def one_generation(
@@ -462,16 +436,16 @@ class _SwapTable:
 
     @classmethod
     def build(cls, pop: Population, spec: FitnessSpec) -> "_SwapTable":
-        mu, n = pop.mu, spec.n
-        ranks = [(ind.fitness, ind.aux, m) for m, ind in enumerate(pop.members)]
-        winner = [_winner(ranks, *decode_slot(q * n, mu, n)[:3])[2] * n for q in range(2 * mu * mu)]
+        mu, n, members = pop.mu, spec.n, pop.members
+        fitness = [ind.fitness for ind in members]
+        winner = [_winner(fitness, *decode_slot(q * n, mu, n)[:3]) * n for q in range(2 * mu * mu)]
         masks = [1 << (n - 1 - p) for p in range(n)]
-        words = [ind.genome.word for ind in pop.members]
-        children = [value for (f, a, _), w in zip(ranks, words) for mask in masks
-                    for value in ((f, a), evaluate_word(spec, w ^ mask))]
-        fitness, aux, _ = np.array(ranks, dtype=np.int64).T
+        words = [ind.genome.word for ind in members]
+        children = [value for ind, w in zip(members, words) for mask in masks
+                    for value in ((ind.fitness, ind.aux), evaluate_word(spec, w ^ mask))]
         return cls(
-            fitness, aux,
+            np.array(fitness, dtype=np.int64),
+            np.array([ind.aux for ind in members], dtype=np.int64),
             winner=np.array(winner, dtype=np.intp),
             bits=np.array([w & mask != 0 for w in words for mask in masks]),
             children=np.array(children, dtype=np.int64).T.copy(),
@@ -627,7 +601,7 @@ def run(config: EngineConfig, seed: int, record_trace: bool = True) -> RunRecord
                     gain = True
             (elite if a[0] >= k else rest).append(a)
             (elite if b[0] >= k else rest).append(b)
-        # ``_replace``: shuffled in place, so the survivors it drops are the
+        # ``replace``: shuffled in place, so the survivors it drops are the
         # tail of ``survivors``
         pop = retained + elite
         if len(pop) > mu:

@@ -18,7 +18,6 @@ from bitswap_ea.engine import (
     _lemire_draw,
     _lemire_matches_numpy,
     _SwapTable,
-    _uniform_subset,
     batch_rows,
     classify_partition,
     decode_slot,
@@ -243,22 +242,21 @@ def test_replace_draws_nothing_for_empty_or_whole_subsets(members, offspring):
 
 @pytest.mark.parametrize("seed", [0, 2024])
 def test_uniform_subset_draws_as_indexing_through_a_permutation(seed):
-    # rng.shuffle and rng.permutation run the same Fisher-Yates pass; this
-    # pins that numpy behaviour, on which every seeded run depends
+    # ``replace`` and ``run`` take a uniform k-subset of a list as the head of
+    # one ``rng.shuffle`` of it. rng.shuffle and rng.permutation run the same
+    # Fisher-Yates pass; this pins that numpy behaviour, on which every seeded
+    # run depends
     rng, twin = make_rng(seed), make_rng(seed)
     for m in range(1, 71):
         items = list(range(100, 100 + m))
         for k in range(m + 1):
             owned = items[:]
-            got = _uniform_subset(owned, k, rng)
-            if 0 < k < m:
-                assert got == [items[i] for i in twin.permutation(m)[:k].tolist()]
-            else:
-                assert got == items[:k]
-            # shuffled in place: the subset leads the list, the dropped items
-            # are its tail (``_carry`` reads the dropped survivors there)
-            assert owned[:k] == got
-            assert sorted(owned[k:]) == [x for x in items if x not in got]
+            rng.shuffle(owned)
+            order = twin.permutation(m).tolist()
+            # the subset leads the list and the dropped items are its tail
+            # (``_carry`` reads the dropped survivors there)
+            assert owned[:k] == [items[i] for i in order[:k]]
+            assert owned[k:] == [items[i] for i in order[k:]]
             assert rng.bit_generator.state == twin.bit_generator.state
 
 
