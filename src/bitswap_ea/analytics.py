@@ -335,16 +335,11 @@ class RuntimeBound:
 
     ``generations`` is the summed bound and ``asymptotic_generations`` the
     leading log form, reported side by side, never substituted for one
-    another; ``evaluations`` is 2*lambda times ``generations``.
+    another.
     """
 
-    params: BoundParams
     generations: float
     asymptotic_generations: float
-
-    @property
-    def evaluations(self) -> float:
-        return 2 * self.params.lam * self.generations
 
     @property
     def ratio(self) -> float:
@@ -363,7 +358,7 @@ def simple_runtime_bound(params: BoundParams) -> RuntimeBound:
     inner = math.fsum(1.0 / ((k - 1) * (n - k + 1)) for k in range(2, n - 1))
     gens = params.mu**3 * n * n * params.delta / params.lam * inner
     asym = params.delta * params.mu**3 * n / params.lam * 2 * math.log(n - 1)
-    return RuntimeBound(params, gens, asym)
+    return RuntimeBound(gens, asym)
 
 
 def refined_runtime_bound(params: BoundParams) -> RuntimeBound:
@@ -382,4 +377,4 @@ def refined_runtime_bound(params: BoundParams) -> RuntimeBound:
     )
     gens = 2 * params.delta * mu**3 / params.lam * inner
     asym = 2 * params.delta * mu * mu * n * math.log(n - 3) / params.lam
-    return RuntimeBound(params, gens, asym)
+    return RuntimeBound(gens, asym)

@@ -24,22 +24,22 @@ two generator calls. numpy runs the same Fisher-Yates pass for
 and the generator's state after it are those of indexing through
 ``rng.permutation(m)``.
 
-Three paths write out one generation, each for its own use. The scalar
-step (``fill_pool``, ``one_bit_swap`` and ``replace``, composed by
-``one_generation``) keeps each rule as its own function on ``Individual``s;
-the tests hold the other two to it. ``run`` steps whole runs: after
-``init_population`` it holds its population as ``(fitness, aux, word)``
-records and writes every rule of the scalar step out in one loop body, with
-the same draws in the same order, so a seed gives the run that repeated
-``one_generation`` calls would give. It shares ``_split`` (the best level
-``k`` and the members at and below it) and ``_scan`` (``classify_partition``'s
-rule) with the scalar step. ``one_generation_blocks`` steps one fixed
-population through many independent generations at once, for the
-Monte-Carlo oracles, and shares ``decode_slot`` and ``_winner`` (the
-tournament on a list of fitness values) with the scalar step. Per block of
-at most ``batch_rows(mu, lambda)`` trials it makes one ``rng.integers`` call
-for the pools and one ``rng.random`` call for the replacement keys, so its
-stream is its own. It reads lookup tables built once per call
+Three paths write out one generation, each for its own use, on one member
+record, ``Individual``'s ``(fitness, aux, word)``. The scalar step
+(``fill_pool``, ``one_bit_swap`` and ``replace``, composed by
+``one_generation``) keeps each rule as its own function; the tests hold the
+other two to it. ``run`` steps whole runs: it takes ``init_population``'s
+members as they are and writes every rule of the scalar step out in one loop
+body, with the same draws in the same order, so a seed gives the run that
+repeated ``one_generation`` calls would give. It shares ``_split`` (the best
+level ``k`` and the members at and below it) and ``_scan``
+(``classify_partition``'s rule) with the scalar step.
+``one_generation_blocks`` steps one fixed population through many
+independent generations at once, for the Monte-Carlo oracles, and shares
+``decode_slot`` and ``_winner`` (the tournament on a list of fitness values)
+with the scalar step. Per block of at most ``batch_rows(mu, lambda)`` trials
+it makes one ``rng.integers`` call for the pools and one ``rng.random`` call
+for the replacement keys, so its stream is its own. It reads lookup tables built once per call
 (``_SwapTable``), works one trial per column, and yields column-major arrays.
 
 ``run`` also knows where the elite ends. Replacement puts the retained members
@@ -76,13 +76,12 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .fitness import ONEMAX, FitnessSpec, evaluate_word, make_individual
 from .genome import (
-    Genome,
     Individual,
     Population,
     RandomSource,
@@ -102,8 +101,6 @@ INT64_MAX = 2**63 - 1
 # trial count nor with the population.
 BATCH_ENTRANTS = 8192
 
-# A record is one member or offspring as ``(fitness, aux, word)`` in ``run``;
-# ``classify_partition`` gives ``_split`` ``(fitness, aux)`` pairs.
 _FITNESS = itemgetter(0)
 _AUX = itemgetter(1)
 
@@ -155,10 +152,6 @@ class ElitismPartition(NamedTuple):
     k: int
     best_aux: int
 
-    @property
-    def total(self) -> int:
-        return self.alpha + self.beta1 + self.beta_minus1
-
 
 @dataclass(slots=True)
 class RunRecord:
@@ -189,8 +182,8 @@ def _rebuild_record(seed, spec, mu, lam, generations, evaluations, terminated, f
     return RunRecord(seed, spec, mu, lam, generations, evaluations, terminated, trace)
 
 
-def _split(records: list[tuple]) -> tuple[int, list[tuple], list[tuple]]:
-    """``(k, retained, survivors)``: the best fitness, then the records at it
+def _split(records: Sequence[tuple]) -> tuple[int, list[tuple], list[tuple]]:
+    """``(k, retained, survivors)``: the best fitness, then the members at it
     and those below it, each in population order."""
     k = max(map(_FITNESS, records))
     retained, survivors = [], []
@@ -252,7 +245,7 @@ def _carry(
 
 
 def classify_partition(pop: Population) -> ElitismPartition:
-    return _scan(*_split([(ind.fitness, ind.aux) for ind in pop.members]))[0]
+    return _scan(*_split(pop.members))[0]
 
 
 def decode_slot(code: int, mu: int, n: int) -> tuple[int, int, int, int]:
@@ -368,11 +361,10 @@ def one_bit_swap(
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"swap positions {i}, {j} out of range for n={n}")
     m1, m2 = 1 << (n - 1 - i), 1 << (n - 1 - j)
-    w1, w2 = p1.genome.word, p2.genome.word
-    if (w1 & m1 == 0) == (w2 & m2 == 0):
+    if (p1.word & m1 == 0) == (p2.word & m2 == 0):
         return p1, p2
-    return (make_individual(spec, Genome(n, w1 ^ m1)),
-            make_individual(spec, Genome(n, w2 ^ m2)))
+    w1, w2 = p1.word ^ m1, p2.word ^ m2
+    return Individual(*evaluate_word(spec, w1), w1), Individual(*evaluate_word(spec, w2), w2)
 
 
 def replace(
@@ -436,16 +428,15 @@ class _SwapTable:
 
     @classmethod
     def build(cls, pop: Population, spec: FitnessSpec) -> "_SwapTable":
-        mu, n, members = pop.mu, spec.n, pop.members
-        fitness = [ind.fitness for ind in members]
+        mu, n = pop.mu, spec.n
+        fitness, aux, words = zip(*pop.members)
         winner = [_winner(fitness, *decode_slot(q * n, mu, n)[:3]) * n for q in range(2 * mu * mu)]
         masks = [1 << (n - 1 - p) for p in range(n)]
-        words = [ind.genome.word for ind in members]
-        children = [value for ind, w in zip(members, words) for mask in masks
-                    for value in ((ind.fitness, ind.aux), evaluate_word(spec, w ^ mask))]
+        children = [value for f, a, w in pop.members for mask in masks
+                    for value in ((f, a), evaluate_word(spec, w ^ mask))]
         return cls(
             np.array(fitness, dtype=np.int64),
-            np.array([ind.aux for ind in members], dtype=np.int64),
+            np.array(aux, dtype=np.int64),
             winner=np.array(winner, dtype=np.intp),
             bits=np.array([w & mask != 0 for w in words for mask in masks]),
             children=np.array(children, dtype=np.int64).T.copy(),
@@ -543,17 +534,15 @@ def init_population(config: EngineConfig, rng: RandomSource) -> Population:
 def run(config: EngineConfig, seed: int, record_trace: bool = True) -> RunRecord:
     """Run to the optimum or the generation cap; trace includes the initial state.
 
-    After ``init_population`` the population is a list of ``(fitness, aux,
-    word)`` records, stepped by one loop that writes out the rules and draws
-    of ``one_generation``: a seed gives the run that repeated
+    ``init_population``'s members are stepped by one loop that writes out the
+    rules and draws of ``one_generation``: a seed gives the run that repeated
     ``one_generation`` calls would give.
     """
     rng = make_rng(seed)
     spec = config.spec
     n, mu, lam, cap, top = spec.n, config.mu, config.lam, config.cap, spec.max_fitness
     onemax = spec.kind == ONEMAX
-    pop = [(ind.fitness, ind.aux, ind.genome.word)
-           for ind in init_population(config, rng).members]
+    pop = list(init_population(config, rng).members)
     k, retained, survivors = _split(pop)
     draw, shuffle = _run_draw(rng, mu * mu * 2 * n, lam), rng.shuffle
     masks = [1 << (n - 1 - p) for p in range(n)]

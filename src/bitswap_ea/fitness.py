@@ -90,8 +90,7 @@ def evaluate_word(spec: FitnessSpec, word: int) -> tuple[int, int]:
 
 
 def make_individual(spec: FitnessSpec, genome: Genome) -> Individual:
-    fitness, aux = evaluate(spec, genome)
-    return Individual(genome, fitness, aux)
+    return Individual(*evaluate(spec, genome), genome.word)
 
 
 def is_optimum(spec: FitnessSpec, genome: Genome) -> bool:

@@ -7,6 +7,7 @@ the leftmost end, so ``str(genome)`` reads in index order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,13 +83,13 @@ def random_genome(n: int, rng: RandomSource) -> Genome:
     return random_genomes(n, 1, rng)[0]
 
 
-@dataclass(frozen=True, slots=True)
-class Individual:
-    """Genome plus its cached fitness and auxiliary value."""
+class Individual(NamedTuple):
+    """One member: its cached fitness and auxiliary value, then its genome's
+    packed ``word``."""
 
-    genome: Genome
     fitness: int
     aux: int
+    word: int
 
 
 @dataclass(frozen=True, slots=True)

@@ -355,9 +355,6 @@ class FitResult:
     r_squared: float
     cell_count: int = field(default=0, compare=False)
 
-    def predict(self, n: int, mu: int) -> float:
-        return self.a * mu * n * math.log(n) + self.b * mu * n
-
 
 def _fit_cells(rows: list[tuple[int, int, int, float, float]], unit: str) -> FitResult:
     """Fit cell means given as (n, mu, lambda, mean_generations,

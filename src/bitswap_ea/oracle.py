@@ -110,7 +110,6 @@ def new_elite_count(before_k: int, before_alpha: int, after: Population) -> int:
 class ExactGenerationResult:
     """Exact-rational law of the new-elite count after one generation."""
 
-    alpha_before: int
     p_exactly_one_new_elite: Fraction
     p_at_least_one_new_elite: Fraction
     elite_count_distribution: dict[int, Fraction]
@@ -156,8 +155,7 @@ def exact_generation_success(spec: PopulationSpec, lam: int) -> ExactGenerationR
         return f > k, f == k
 
     classes = []
-    for ind in members:
-        word = ind.genome.word
+    for _, _, word in members:
         tally: dict[tuple, int] = {}
         for a in range(n):
             bit = 1 << (n - 1 - a)
@@ -218,7 +216,7 @@ def exact_generation_success(spec: PopulationSpec, lam: int) -> ExactGenerationR
     dist = {c: Fraction(w, whole * scale) for c, w in weights.items()}
     p_one = dist.get(1, Fraction(0))
     p_any = sum((p for c, p in dist.items() if c >= 1), Fraction(0))
-    return ExactGenerationResult(alpha, p_one, p_any, dist)
+    return ExactGenerationResult(p_one, p_any, dist)
 
 
 @dataclass(frozen=True, slots=True)

@@ -351,10 +351,9 @@ def test_runtime_bound_domains():
         refined_runtime_bound(BoundParams(2, 2, 6, 0.5))
 
 
-def test_evaluation_figures_are_twice_lambda_times_generations():
+def test_ratio_is_generations_over_asymptotic_generations():
     p = BoundParams(4, 6, 50, 0.25)
     for bound in (simple_runtime_bound(p), refined_runtime_bound(p)):
-        assert bound.evaluations == pytest.approx(12 * bound.generations)
         assert bound.ratio == pytest.approx(
             bound.generations / bound.asymptotic_generations
         )

@@ -75,9 +75,13 @@ def ind(text: str, spec: FitnessSpec | None = None) -> Individual:
     return make_individual(spec, Genome.from_string(text))
 
 
-def fake(fitness: int, n: int = 8, aux: int | None = None) -> Individual:
+def fake(fitness: int, aux: int | None = None) -> Individual:
     # fitness stamped directly; genome content irrelevant to replace logic
-    return Individual(Genome(n, 0), fitness, fitness if aux is None else aux)
+    return Individual(fitness, fitness if aux is None else aux, 0)
+
+
+def bits(member: Individual, n: int) -> str:
+    return str(Genome(n, member.word))
 
 
 def test_tournament_picks_higher_fitness():
@@ -153,20 +157,20 @@ def test_one_bit_swap_exchanges_bit_values():
     spec = FitnessSpec.onemax(2)
     p1, p2 = ind("10"), ind("01")
     o1, o2 = one_bit_swap(p1, p2, 0, 0, spec)
-    assert str(o1.genome) == "00"
-    assert str(o2.genome) == "11"
+    assert bits(o1, 2) == "00"
+    assert bits(o2, 2) == "11"
     assert (o1.fitness, o2.fitness) == (0, 2)
     # position i belongs to the first parent, j to the second
     o1, o2 = one_bit_swap(ind("10"), ind("10"), 0, 1, spec)
-    assert (str(o1.genome), str(o2.genome)) == ("00", "11")
+    assert (bits(o1, 2), bits(o2, 2)) == ("00", "11")
 
 
 def test_one_bit_swap_same_value_copies_parents():
     spec = FitnessSpec.onemax(3)
     p1, p2 = ind("110"), ind("011")
     o1, o2 = one_bit_swap(p1, p2, 0, 2, spec)
-    assert str(o1.genome) == "110"
-    assert str(o2.genome) == "011"
+    assert bits(o1, 3) == "110"
+    assert bits(o2, 3) == "011"
 
 
 def test_replace_fills_with_best_offspring_then_rest():
@@ -339,7 +343,7 @@ def test_elitism_partition_is_an_immutable_named_row():
         "alpha", "beta1", "beta_minus1", "alpha_star", "k", "best_aux")
     part = ElitismPartition(alpha=2, beta1=1, beta_minus1=3, alpha_star=1, k=7, best_aux=4)
     assert part == ElitismPartition(2, 1, 3, 1, 7, 4)
-    assert (part.k, part.best_aux, part.total) == (7, 4, 6)
+    assert (part.k, part.best_aux, part.alpha + part.beta1 + part.beta_minus1) == (7, 4, 6)
     with pytest.raises(AttributeError):
         part.alpha = 5
 
@@ -363,7 +367,7 @@ def test_classify_partition_counts_three_levels():
     assert part.k == 5
     assert part.alpha_star == 1
     assert part.best_aux == 7
-    assert part.total == 5
+    assert part.alpha + part.beta1 + part.beta_minus1 == 5
 
 
 def test_classify_partition_all_equal():
@@ -428,7 +432,7 @@ def test_run_trace_invariants():
     rec = run(cfg, seed=11)
     ks = [p.k for p in rec.trace]
     assert all(a <= b for a, b in zip(ks, ks[1:]))
-    assert all(p.total == 4 for p in rec.trace)
+    assert all(p.alpha + p.beta1 + p.beta_minus1 == 4 for p in rec.trace)
     assert all(1 <= p.alpha and p.alpha_star <= p.alpha for p in rec.trace)
 
 
@@ -582,7 +586,7 @@ def test_rls_baseline_accounting_and_trace():
     ks = [p.k for p in rec.trace]
     assert all(a <= b for a, b in zip(ks, ks[1:]))
     assert ks[-1] == 100
-    assert all(p.total == 1 for p in rec.trace)
+    assert all(p.alpha + p.beta1 + p.beta_minus1 == 1 for p in rec.trace)
 
 
 def test_rls_baseline_deterministic():

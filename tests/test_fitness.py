@@ -97,6 +97,8 @@ def test_make_individual_caches_both_values():
     ind = make_individual(spec, Genome.from_string("111011"))
     assert ind.fitness == 1
     assert ind.aux == 5
+    assert ind._fields == ("fitness", "aux", "word")
+    assert ind == (1, 5, 0b111011)
 
 
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1))

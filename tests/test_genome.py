@@ -88,8 +88,8 @@ def test_random_genome_bit_balance():
 def test_population_size():
     pop = Population(
         (
-            Individual(Genome.from_string("110"), 2, 2),
-            Individual(Genome.from_string("100"), 1, 1),
+            Individual(2, 2, 0b110),
+            Individual(1, 1, 0b100),
         )
     )
     assert pop.mu == 2

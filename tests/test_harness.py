@@ -447,7 +447,6 @@ def test_fit_recovers_exact_coefficients():
     assert fit.b == pytest.approx(0.6, abs=1e-9)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
     assert fit.cell_count == 8
-    assert fit.predict(64, 2) == pytest.approx(2 * 64 * (1.7 * math.log(64) + 0.6))
 
 
 def test_fit_tolerates_mild_noise():
@@ -458,7 +457,8 @@ def test_fit_tolerates_mild_noise():
     assert fit.a == pytest.approx(1.7, rel=0.15)
     assert fit.r_squared > 0.995
     truth = 1.7 * 2 * 128 * math.log(128) + 0.6 * 2 * 128
-    assert fit.predict(128, 2) == pytest.approx(truth, rel=0.05)
+    predicted = fit.a * 2 * 128 * math.log(128) + fit.b * 2 * 128
+    assert predicted == pytest.approx(truth, rel=0.05)
 
 
 def test_evaluation_fit_scales_by_per_generation_cost():

@@ -102,7 +102,6 @@ def test_distribution_is_exactly_normalized():
     spec = PopulationSpec.from_level_counts(8, 4, 1, 2, 1)
     res = exact_generation_success(spec, 4)
     assert sum(res.elite_count_distribution.values()) == Fraction(1)
-    assert res.alpha_before == 1
     assert all(p >= 0 for p in res.elite_count_distribution.values())
 
 
@@ -156,7 +155,7 @@ def reference_exact_generation_success(spec, lam):
         f = evaluate(spec.fitness, g)[0]
         return f > k, f == k
 
-    texts = [str(ind.genome) for ind in members]
+    texts = [str(g) for g in spec.genomes]
     bits = [[int(c) for c in t] for t in texts]
     child = [[[indicators(Genome.from_string(t[:a] + v + t[a + 1:])) for v in "01"]
               for a in range(n)] for t in texts]
@@ -204,7 +203,7 @@ def reference_exact_generation_success(spec, lam):
 
     p_one = dist.get(1, Fraction(0))
     p_any = sum((p for c, p in dist.items() if c >= 1), Fraction(0))
-    return ExactGenerationResult(alpha, p_one, p_any, dist)
+    return ExactGenerationResult(p_one, p_any, dist)
 
 
 def _random_population(rng, fitness, mu):

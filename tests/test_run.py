@@ -1,11 +1,11 @@
 """Whole runs: ``run`` against the public scalar step, fixed values, exact E[T].
 
-``run`` holds its population as plain ints and writes the tournament, swap,
-evaluation and replacement out in one loop, but must give, seed for seed, the
-run that repeated ``one_generation`` calls give. The scalar step keeps each of
-those rules as its own function (``fill_pool``, ``one_bit_swap``,
-``replace``), so holding ``run`` to it checks the rules, not only the
-bookkeeping. These tests pin that stream.
+``run`` steps its members' ``(fitness, aux, word)`` records and writes the
+tournament, swap, evaluation and replacement out in one loop, but must give,
+seed for seed, the run that repeated ``one_generation`` calls give. The scalar
+step keeps each of those rules as its own function (``fill_pool``,
+``one_bit_swap``, ``replace``), so holding ``run`` to it checks the rules, not
+only the bookkeeping. These tests pin that stream.
 """
 
 import math
@@ -209,19 +209,31 @@ def test_run_generations_match_fixed_values(spec, mu, lam, generations):
     assert [run(config, seed).generations for seed in range(5)] == generations
 
 
-# Exact E[T] of the mu = lambda = 2 OneMax engine, from the ones-count Markov
-# chain solved in perfbench/reference.py (expected_generations), which shares
-# no code with src/.
-EXACT_GENERATIONS = {16: 37.1868, 32: 91.6412, 64: 217.96590}
+# Exact E[T] of the OneMax engine at (n, mu, lambda), from the ones-count
+# Markov chain of perfbench/reference.py (next_state_law, solved level by
+# level as expected_generations does), which shares no code with src/.
+EXACT_GENERATIONS = {
+    (16, 2, 2): 37.1868,
+    (32, 2, 2): 91.6412,
+    (64, 2, 2): 217.96590,
+    (16, 4, 2): 32.854754,
+    (16, 4, 4): 22.597122,
+    (32, 2, 4): 76.241990,
+}
 WHOLE_RUN_SEEDS = 1000
 SE_LIMIT = 4.0
 
 
-@pytest.mark.parametrize("n", sorted(EXACT_GENERATIONS))
-def test_whole_run_mean_matches_exact_expectation(n):
-    config = EngineConfig(FitnessSpec.onemax(n), 2, 2)
-    gens = [run(config, mix_seed(0, n, 2, 2, i), record_trace=False).generations
+@pytest.mark.parametrize(
+    "n, mu, lam", sorted(EXACT_GENERATIONS),
+    # the mu = lambda = 2 cases keep their ids, the length alone
+    ids=[str(n) if (mu, lam) == (2, 2) else f"{n}-{mu}-{lam}"
+         for n, mu, lam in sorted(EXACT_GENERATIONS)],
+)
+def test_whole_run_mean_matches_exact_expectation(n, mu, lam):
+    config = EngineConfig(FitnessSpec.onemax(n), mu, lam)
+    gens = [run(config, mix_seed(0, n, mu, lam, i), record_trace=False).generations
             for i in range(WHOLE_RUN_SEEDS)]
     mean = statistics.fmean(gens)
     se = statistics.stdev(gens) / math.sqrt(len(gens))
-    assert abs(mean - EXACT_GENERATIONS[n]) <= SE_LIMIT * se, (mean, se)
+    assert abs(mean - EXACT_GENERATIONS[n, mu, lam]) <= SE_LIMIT * se, (mean, se)
